@@ -36,11 +36,11 @@ Result measure(bool suppression, int transfers) {
   c.net.reset_stats();
 
   for (int i = 0; i < transfers; ++i) {
-    cdr::Encoder args;
+    cdr::Writer args;
     args.put_string("acct.a");
     args.put_string("acct.b");
     args.put_longlong(1);
-    c.timed_call(5, "teller", "transfer", args.take());
+    c.timed_call(5, "teller", "transfer", args.written());
   }
   c.settle();
 
@@ -81,17 +81,20 @@ int main() {
   hdr.request_id = 1;
   hdr.object_key = cdr::WireBuf(cdr::Bytes{'a', 'c', 'c', 't'});
   hdr.operation = "withdraw";
-  const cdr::Bytes giop_wire = giop::encode_request(hdr, i64_arg(1));
+  cdr::Writer request;
+  giop::encode_request_into(request, hdr, i64_arg(1));
   rep::Envelope env;
   env.kind = rep::Kind::Invocation;
   env.target_group = "acct";
   env.reply_group = "teller";
   env.source_group = "teller";
-  env.giop = cdr::WireBuf(giop_wire);
-  const std::size_t overhead = rep::encode(env).size() - giop_wire.size();
+  env.giop = request.seal();
+  cdr::Writer envelope;
+  rep::encode_envelope_into(envelope, env);
+  const std::size_t overhead = envelope.size() - env.giop.size();
   std::printf("\nper-invocation identifier+envelope overhead: %zu bytes on "
               "a %zu-byte GIOP request\n",
-              overhead, giop_wire.size());
+              overhead, env.giop.size());
   std::puts("shape check: suppression saves multicasts and bytes; "
             "executions are identical (exactly-once) either way.");
   obs_report("duplicates");

@@ -18,13 +18,13 @@ namespace {
 
 void BM_CdrEncodePrimitives(benchmark::State& state) {
   for (auto _ : state) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     for (int i = 0; i < 16; ++i) {
       enc.put_ulong(static_cast<std::uint32_t>(i));
       enc.put_ulonglong(static_cast<std::uint64_t>(i) << 32);
       enc.put_double(1.5 * i);
     }
-    benchmark::DoNotOptimize(enc.data().data());
+    benchmark::DoNotOptimize(enc.written().data());
   }
 }
 BENCHMARK(BM_CdrEncodePrimitives);
@@ -32,9 +32,9 @@ BENCHMARK(BM_CdrEncodePrimitives);
 void BM_CdrStringRoundTrip(benchmark::State& state) {
   const std::string s(static_cast<std::size_t>(state.range(0)), 'x');
   for (auto _ : state) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_string(s);
-    cdr::Decoder dec(enc.data());
+    cdr::Decoder dec(enc.written());
     benchmark::DoNotOptimize(dec.get_string());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
@@ -47,9 +47,11 @@ void BM_GiopRequestRoundTrip(benchmark::State& state) {
   hdr.object_key = cdr::WireBuf(cdr::Bytes{'g', 'r', 'o', 'u', 'p'});
   hdr.operation = "increment";
   cdr::Bytes body(static_cast<std::size_t>(state.range(0)), 0xAB);
+  cdr::Arena arena;
   for (auto _ : state) {
-    cdr::Bytes wire = giop::encode_request(hdr, body);
-    giop::Message msg = giop::decode(wire);
+    cdr::Writer w(arena, body.size() + 256);
+    giop::encode_request_into(w, hdr, body);
+    giop::Message msg = giop::decode(w.seal());
     benchmark::DoNotOptimize(msg.request->operation.data());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
@@ -64,9 +66,11 @@ void BM_EnvelopeRoundTrip(benchmark::State& state) {
   env.reply_group = "teller";
   env.source_group = "teller";
   env.giop = cdr::WireBuf(cdr::Bytes(256, 0xCD));
+  cdr::Arena arena;
   for (auto _ : state) {
-    cdr::Bytes wire = rep::encode(env);
-    rep::Envelope out = rep::decode_envelope(cdr::WireBuf(wire));
+    cdr::Writer w(arena, 512);
+    rep::encode_envelope_into(w, env);
+    rep::Envelope out = rep::decode_envelope(w.seal());
     benchmark::DoNotOptimize(out.target_group.data());
   }
 }
@@ -80,9 +84,12 @@ void BM_TotemDataRoundTrip(benchmark::State& state) {
   pkt.data.origin = 3;
   pkt.data.group = totem::group_buf("inventory");
   pkt.data.payload = cdr::WireBuf(cdr::Bytes(512, 0xEF));
+  cdr::Arena arena;
+  totem::Packet out;
   for (auto _ : state) {
-    totem::Bytes wire = totem::encode(pkt);
-    totem::Packet out = totem::decode_packet(wire);
+    cdr::Writer w(arena, 1024);
+    totem::encode_packet_into(w, pkt);
+    totem::decode_packet_into(out, w.seal());
     benchmark::DoNotOptimize(out.data.payload.data());
   }
 }
@@ -216,7 +223,7 @@ void BM_FtRequestContext(benchmark::State& state) {
   ctx.retention_id = 77;
   ctx.expiration_time = 123456789;
   for (auto _ : state) {
-    cdr::WireBuf bytes(ctx.encode());
+    const cdr::WireBuf bytes = ctx.encode();
     benchmark::DoNotOptimize(giop::FtRequestContext::decode(bytes));
   }
 }

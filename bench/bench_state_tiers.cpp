@@ -32,16 +32,16 @@ int main() {
     c.domain.host_on<app::KvStore>(
         rep::GroupConfig{"kv", rep::Style::Active}, {0, 1});
     c.settle();
-    cdr::Encoder fill;
+    cdr::Writer fill;
     fill.put_ulonglong(entries);
     fill.put_ulonglong(64);
-    c.domain.client(2).invoke_blocking("kv", "fill", fill.take(),
+    c.domain.client(2).invoke_blocking("kv", "fill", fill.written(),
                                        60 * sim::kSecond);
     for (int i = 0; i < 32; ++i) {
-      cdr::Encoder put;
+      cdr::Writer put;
       put.put_string("k" + std::to_string(i));
       put.put_string("v");
-      c.timed_call(2, "kv", "put", put.take());
+      c.timed_call(2, "kv", "put", put.written());
     }
     c.settle();
     const rep::CheckpointSizes s = c.domain.engine(0).checkpoint_sizes("kv");

@@ -90,10 +90,10 @@ struct FtCluster {
 
   /// Client round trip in simulated microseconds; drives the simulation.
   sim::Time timed_call(sim::NodeId node, const std::string& group,
-                       const std::string& op, cdr::Bytes args) {
+                       const std::string& op,
+                       std::span<const std::uint8_t> args) {
     const sim::Time start = sim.now();
-    domain.client(node).invoke_blocking(group, op, std::move(args),
-                                        30 * sim::kSecond);
+    domain.client(node).invoke_blocking(group, op, args, 30 * sim::kSecond);
     return sim.now() - start;
   }
 
@@ -106,15 +106,15 @@ struct FtCluster {
 };
 
 inline cdr::Bytes i64_arg(std::int64_t v) {
-  cdr::Encoder enc;
-  enc.put_longlong(v);
-  return enc.take();
+  cdr::Writer w;
+  w.put_longlong(v);
+  return w.seal().to_bytes();
 }
 
 inline cdr::Bytes payload_arg(std::size_t bytes) {
-  cdr::Encoder enc;
-  enc.put_octet_seq(cdr::Bytes(bytes, 0xAB));
-  return enc.take();
+  cdr::Writer w;
+  w.put_octet_seq(cdr::Bytes(bytes, 0xAB));
+  return w.seal().to_bytes();
 }
 
 /// Markdown table printer.

@@ -3,7 +3,7 @@
 namespace eternal::app {
 
 using cdr::Decoder;
-using cdr::Encoder;
+using cdr::Writer;
 using orb::InvokerContext;
 using orb::Task;
 
@@ -12,21 +12,21 @@ using orb::Task;
 // ---------------------------------------------------------------------------
 
 Counter::Counter() {
-  op("incr", [this](InvokerContext&, Decoder& in, Encoder& out) {
+  op("incr", [this](InvokerContext&, Decoder& in, Writer& out) {
     value_ += in.get_longlong();
     ++ops_;
     out.put_longlong(value_);
   });
-  op("set", [this](InvokerContext&, Decoder& in, Encoder&) {
+  op("set", [this](InvokerContext&, Decoder& in, Writer&) {
     value_ = in.get_longlong();
     ++ops_;
   });
-  read_op("get", [this](InvokerContext&, Decoder&, Encoder& out) {
+  read_op("get", [this](InvokerContext&, Decoder&, Writer& out) {
     out.put_longlong(value_);
   });
 }
 
-void Counter::get_state(Encoder& out) const {
+void Counter::get_state(Writer& out) const {
   out.put_longlong(value_);
   out.put_ulonglong(ops_);
 }
@@ -41,14 +41,14 @@ void Counter::set_state(Decoder& in) {
 // ---------------------------------------------------------------------------
 
 Echo::Echo() {
-  op("echo", [this](InvokerContext&, Decoder& in, Encoder& out) {
+  op("echo", [this](InvokerContext&, Decoder& in, Writer& out) {
     ++calls_;
     out.put_octet_seq(in.get_octet_seq());
   });
-  read_op("ping", [](InvokerContext&, Decoder&, Encoder&) {});
+  read_op("ping", [](InvokerContext&, Decoder&, Writer&) {});
 }
 
-void Echo::get_state(Encoder& out) const { out.put_ulonglong(calls_); }
+void Echo::get_state(Writer& out) const { out.put_ulonglong(calls_); }
 void Echo::set_state(Decoder& in) { calls_ = in.get_ulonglong(); }
 
 // ---------------------------------------------------------------------------
@@ -56,11 +56,11 @@ void Echo::set_state(Decoder& in) { calls_ = in.get_ulonglong(); }
 // ---------------------------------------------------------------------------
 
 Account::Account() {
-  op("deposit", [this](InvokerContext&, Decoder& in, Encoder& out) {
+  op("deposit", [this](InvokerContext&, Decoder& in, Writer& out) {
     balance_ += in.get_longlong();
     out.put_longlong(balance_);
   });
-  op("withdraw", [this](InvokerContext&, Decoder& in, Encoder& out) {
+  op("withdraw", [this](InvokerContext&, Decoder& in, Writer& out) {
     const std::int64_t amount = in.get_longlong();
     if (amount > balance_) {
       throw orb::SystemException("IDL:bank/NO_FUNDS:1.0", 0,
@@ -69,12 +69,12 @@ Account::Account() {
     balance_ -= amount;
     out.put_longlong(balance_);
   });
-  read_op("balance", [this](InvokerContext&, Decoder&, Encoder& out) {
+  read_op("balance", [this](InvokerContext&, Decoder&, Writer& out) {
     out.put_longlong(balance_);
   });
 }
 
-void Account::get_state(Encoder& out) const { out.put_longlong(balance_); }
+void Account::get_state(Writer& out) const { out.put_longlong(balance_); }
 void Account::set_state(Decoder& in) { balance_ = in.get_longlong(); }
 
 // ---------------------------------------------------------------------------
@@ -83,31 +83,28 @@ void Account::set_state(Decoder& in) { balance_ = in.get_longlong(); }
 
 Teller::Teller() {
   async_op("transfer", [this](InvokerContext& ctx, Decoder& in,
-                              Encoder& out) -> Task {
+                              Writer& out) -> Task {
     const std::string from = in.get_string();
     const std::string to = in.get_string();
     const std::int64_t amount = in.get_longlong();
 
-    Encoder wd;
-    wd.put_longlong(amount);
+    Writer arg;
+    arg.put_longlong(amount);
     // Withdraw first; NO_FUNDS propagates to the caller untouched.
-    cdr::Bytes wres = co_await ctx.invoke(from, "withdraw", wd.take());
-
-    Encoder dep;
-    dep.put_longlong(amount);
-    cdr::Bytes dres = co_await ctx.invoke(to, "deposit", dep.take());
+    cdr::Bytes wres = co_await ctx.invoke(from, "withdraw", arg.written());
+    cdr::Bytes dres = co_await ctx.invoke(to, "deposit", arg.written());
 
     ++transfers_;
     Decoder r(dres);
     out.put_longlong(r.get_longlong());  // destination balance
     co_return;
   });
-  read_op("transfers", [this](InvokerContext&, Decoder&, Encoder& out) {
+  read_op("transfers", [this](InvokerContext&, Decoder&, Writer& out) {
     out.put_ulonglong(transfers_);
   });
 }
 
-void Teller::get_state(Encoder& out) const { out.put_ulonglong(transfers_); }
+void Teller::get_state(Writer& out) const { out.put_ulonglong(transfers_); }
 void Teller::set_state(Decoder& in) { transfers_ = in.get_ulonglong(); }
 
 // ---------------------------------------------------------------------------
@@ -115,11 +112,11 @@ void Teller::set_state(Decoder& in) { transfers_ = in.get_ulonglong(); }
 // ---------------------------------------------------------------------------
 
 Inventory::Inventory() {
-  op("manufacture", [this](InvokerContext&, Decoder& in, Encoder& out) {
+  op("manufacture", [this](InvokerContext&, Decoder& in, Writer& out) {
     stock_ += in.get_longlong();
     out.put_longlong(stock_);
   });
-  op("sell", [this](InvokerContext& ctx, Decoder&, Encoder& out) {
+  op("sell", [this](InvokerContext& ctx, Decoder&, Writer& out) {
     // The paper's inventory-update algorithm (Figure 8): a sale in the
     // primary component (or a normal unpartitioned sale) decrements stock
     // and issues the shipping order. A fulfillment replay of a sale made
@@ -146,10 +143,10 @@ Inventory::Inventory() {
       }
     }
   });
-  read_op("stock", [this](InvokerContext&, Decoder&, Encoder& out) {
+  read_op("stock", [this](InvokerContext&, Decoder&, Writer& out) {
     out.put_longlong(stock_);
   });
-  read_op("report", [this](InvokerContext&, Decoder&, Encoder& out) {
+  read_op("report", [this](InvokerContext&, Decoder&, Writer& out) {
     out.put_longlong(stock_);
     out.put_longlong(shipped_);
     out.put_longlong(back_orders_);
@@ -157,7 +154,7 @@ Inventory::Inventory() {
   });
 }
 
-void Inventory::get_state(Encoder& out) const {
+void Inventory::get_state(Writer& out) const {
   out.put_longlong(stock_);
   out.put_longlong(shipped_);
   out.put_longlong(back_orders_);
@@ -176,27 +173,27 @@ void Inventory::set_state(Decoder& in) {
 // ---------------------------------------------------------------------------
 
 KvStore::KvStore() {
-  op("put", [this](InvokerContext&, Decoder& in, Encoder&) {
+  op("put", [this](InvokerContext&, Decoder& in, Writer&) {
     last_key_ = in.get_string();
     last_value_ = in.get_string();
     last_was_erase_ = false;
     data_[last_key_] = last_value_;
   });
-  op("del", [this](InvokerContext&, Decoder& in, Encoder& out) {
+  op("del", [this](InvokerContext&, Decoder& in, Writer& out) {
     last_key_ = in.get_string();
     last_value_.clear();
     last_was_erase_ = true;
     out.put_boolean(data_.erase(last_key_) > 0);
   });
-  read_op("get", [this](InvokerContext&, Decoder& in, Encoder& out) {
+  read_op("get", [this](InvokerContext&, Decoder& in, Writer& out) {
     auto it = data_.find(in.get_string());
     out.put_boolean(it != data_.end());
     out.put_string(it != data_.end() ? it->second : "");
   });
-  read_op("size", [this](InvokerContext&, Decoder&, Encoder& out) {
+  read_op("size", [this](InvokerContext&, Decoder&, Writer& out) {
     out.put_ulonglong(data_.size());
   });
-  op("fill", [this](InvokerContext&, Decoder& in, Encoder&) {
+  op("fill", [this](InvokerContext&, Decoder& in, Writer&) {
     const std::uint64_t count = in.get_ulonglong();
     const std::uint64_t value_size = in.get_ulonglong();
     const std::string value(value_size, 'v');
@@ -209,7 +206,7 @@ KvStore::KvStore() {
   });
 }
 
-void KvStore::get_state(Encoder& out) const {
+void KvStore::get_state(Writer& out) const {
   out.put_ulonglong(data_.size());
   for (const auto& [k, v] : data_) {
     out.put_string(k);
@@ -226,7 +223,7 @@ void KvStore::set_state(Decoder& in) {
   }
 }
 
-void KvStore::get_update(const std::string& op, Encoder& out) const {
+void KvStore::get_update(const std::string& op, Writer& out) const {
   if ((op == "put" || op == "del") && !last_key_.empty()) {
     out.put_boolean(true);  // incremental postimage
     out.put_string(last_key_);
@@ -258,7 +255,7 @@ void KvStore::apply_update(const std::string&, Decoder& in) {
 // ---------------------------------------------------------------------------
 
 NondetProbe::NondetProbe() {
-  op("sample", [this](InvokerContext& ctx, Decoder&, Encoder& out) {
+  op("sample", [this](InvokerContext& ctx, Decoder&, Writer& out) {
     ++samples_;
     last_random_ = ctx.deterministic_random();
     out.put_ulonglong(ctx.logical_time());
@@ -266,7 +263,7 @@ NondetProbe::NondetProbe() {
   });
 }
 
-void NondetProbe::get_state(Encoder& out) const {
+void NondetProbe::get_state(Writer& out) const {
   out.put_ulonglong(samples_);
   out.put_ulonglong(last_random_);
 }

@@ -4,41 +4,6 @@
 
 namespace eternal::cdr {
 
-void Encoder::align(std::size_t alignment) {
-  const std::size_t misalign = buf_.size() % alignment;
-  if (misalign != 0) {
-    buf_.insert(buf_.end(), alignment - misalign, 0);
-  }
-}
-
-void Encoder::put_string(std::string_view s) {
-  if (s.size() + 1 > 0xffffffffULL) throw MarshalError("string too long");
-  put_ulong(static_cast<std::uint32_t>(s.size() + 1));
-  const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
-  buf_.insert(buf_.end(), p, p + s.size());
-  buf_.push_back(0);
-}
-
-void Encoder::put_octet_seq(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() > 0xffffffffULL) throw MarshalError("sequence too long");
-  put_ulong(static_cast<std::uint32_t>(bytes.size()));
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
-void Encoder::put_raw(std::span<const std::uint8_t> bytes) {
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
-void Encoder::put_encapsulation(const Encoder& inner) {
-  put_octet_seq(inner.data());
-}
-
-Encoder Encoder::make_encapsulation() {
-  Encoder e;
-  e.put_boolean(kHostLittleEndian);
-  return e;
-}
-
 void Writer::align(std::size_t alignment) {
   const std::size_t misalign = (len_ - origin_) % alignment;
   if (misalign != 0) {
@@ -79,29 +44,25 @@ Writer::Patch Writer::reserve_ulong() {
   return p;
 }
 
-void Writer::begin_encapsulation() {
-  if (depth_ == kMaxEncapDepth) {
-    throw MarshalError("encapsulations nested too deep");
-  }
+void Writer::begin_octet_seq() {
+  if (depth_ == kMaxSeqDepth) throw MarshalError("sequences nested too deep");
   const Patch p = reserve_ulong();
-  encaps_[depth_++] = {p.pos, origin_};
-  // Alignment inside the encapsulation is relative to its first octet (the
-  // endianness flag), exactly as if it were built by a fresh inner Encoder.
+  seqs_[depth_++] = {p.pos, origin_};
   origin_ = len_;
-  put_octet(kHostLittleEndian ? 1 : 0);
 }
 
-void Writer::end_encapsulation() {
-  if (depth_ == 0) throw MarshalError("end_encapsulation without begin");
-  const EncapFrame f = encaps_[--depth_];
-  patch_ulong(Patch{f.patch_pos},
-              static_cast<std::uint32_t>(len_ - (f.patch_pos + 4)));
+std::size_t Writer::end_octet_seq() {
+  if (depth_ == 0) throw MarshalError("end_octet_seq without begin");
+  const SeqFrame f = seqs_[--depth_];
+  const std::size_t content = len_ - (f.patch_pos + 4);
+  patch_ulong(Patch{f.patch_pos}, static_cast<std::uint32_t>(content));
   origin_ = f.prev_origin;
+  return content;
 }
 
 WireBuf Writer::seal() {
   if (sealed_) throw MarshalError("Writer sealed twice");
-  if (depth_ != 0) throw MarshalError("seal with open encapsulation");
+  if (depth_ != 0) throw MarshalError("seal with an open sequence");
   sealed_ = true;
   return arena_.seal_frame(len_);
 }

@@ -12,7 +12,7 @@
 // carry an element count, and encapsulations are octet sequences that begin
 // with an endianness flag. Both byte orders are supported on read; writes
 // use the host's order and record it in encapsulation flags, exactly as a
-// real ORB does.
+// real ORB does. Writer is the only encoder; Decoder reads.
 #pragma once
 
 #include <array>
@@ -39,91 +39,26 @@ class MarshalError : public std::runtime_error {
 
 constexpr bool kHostLittleEndian = (std::endian::native == std::endian::little);
 
-/// CDR encoder. The stream's alignment origin is the position at
-/// construction; GIOP bodies and encapsulations each start a fresh origin.
-class Encoder {
- public:
-  Encoder() = default;
-
-  const Bytes& data() const noexcept { return buf_; }
-  Bytes take() noexcept { return std::move(buf_); }
-  std::size_t size() const noexcept { return buf_.size(); }
-  /// Forget the content but keep the capacity — pooled encoders (engine
-  /// execution results) reuse their allocation across operations.
-  void clear() noexcept { buf_.clear(); }
-
-  void align(std::size_t alignment);
-
-  void put_octet(std::uint8_t v) { buf_.push_back(v); }
-  void put_boolean(bool v) { put_octet(v ? 1 : 0); }
-  void put_char(char v) { put_octet(static_cast<std::uint8_t>(v)); }
-  void put_ushort(std::uint16_t v) { put_aligned(v); }
-  void put_short(std::int16_t v) { put_aligned(static_cast<std::uint16_t>(v)); }
-  void put_ulong(std::uint32_t v) { put_aligned(v); }
-  void put_long(std::int32_t v) { put_aligned(static_cast<std::uint32_t>(v)); }
-  void put_ulonglong(std::uint64_t v) { put_aligned(v); }
-  void put_longlong(std::int64_t v) {
-    put_aligned(static_cast<std::uint64_t>(v));
-  }
-  void put_float(float v) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, 4);
-    put_aligned(bits);
-  }
-  void put_double(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    put_aligned(bits);
-  }
-
-  /// CDR string: ulong length including NUL, bytes, NUL.
-  void put_string(std::string_view s);
-
-  /// sequence<octet>: ulong count then raw bytes.
-  void put_octet_seq(std::span<const std::uint8_t> bytes);
-
-  /// Raw bytes with no count (caller manages framing).
-  void put_raw(std::span<const std::uint8_t> bytes);
-
-  /// An encapsulation is a sequence<octet> whose content is itself a CDR
-  /// stream beginning with a boolean endianness flag.
-  void put_encapsulation(const Encoder& inner);
-
-  /// Begin an encapsulation in-place: writes the endian flag into a fresh
-  /// encoder the caller fills and then passes to put_encapsulation.
-  static Encoder make_encapsulation();
-
- private:
-  template <typename T>
-  void put_aligned(T v) {
-    align(sizeof(T));
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
-  }
-
-  Bytes buf_;
-};
-
-/// CDR writer encoding in place over an arena-backed frame. The hot-path
-/// replacement for Encoder: same put_* surface and identical bytes, but the
-/// destination is an Arena frame, growth is a slab upgrade instead of vector
-/// reallocation, and seal() hands back an immutable WireBuf (inline when
-/// small, refcounted slab reference when large).
+/// CDR writer: the one encoder. It encodes in place into an arena-backed
+/// frame; growth is a slab upgrade, and seal() hands back an immutable
+/// WireBuf (inline when small, refcounted slab reference when large).
+/// Alignment is relative to the frame start (or the last mark_origin /
+/// open sequence), so GIOP bodies and encapsulations align as their own
+/// streams.
 ///
-/// Two affordances Encoder never had:
-///   * reserve_ulong()/patch_ulong() — reserve a length field up front and
-///     backpatch it after the content is written (GIOP message size, batch
-///     counts), killing the encode-then-copy-into-outer-frame pass.
-///   * begin_encapsulation()/end_encapsulation() — encapsulations written
-///     in place as sub-streams of the same frame (length backpatched, inner
-///     alignment relative to the endian flag), byte-identical to building an
-///     inner Encoder and passing it to put_encapsulation.
-///
-/// One Writer may be open per Arena at a time; destroying an unsealed
+/// A Writer either borrows a long-lived Arena (hot-path senders that seal
+/// many frames) or, default-constructed, owns one that starts at the
+/// smallest slab class and returns its slab to the pool when the Writer
+/// dies. One Writer may be open per Arena at a time; destroying an unsealed
 /// Writer abandons the frame.
 class Writer {
  public:
-  explicit Writer(Arena& arena, std::size_t reserve = 256)
+  /// A Writer over its own arena (cold paths, per-operation results).
+  Writer()
+      : arena_(own_),
+        base_(own_.begin_frame(kDefaultReserve)),
+        cap_(own_.frame_capacity()) {}
+  explicit Writer(Arena& arena, std::size_t reserve = kDefaultReserve)
       : arena_(arena),
         base_(arena.begin_frame(reserve)),
         cap_(arena.frame_capacity()) {}
@@ -186,20 +121,27 @@ class Writer {
     std::memcpy(base_ + p.pos, &v, 4);
   }
 
-  /// Opens an encapsulation in place: ulong length (backpatched on end),
-  /// endian flag octet, then content aligned relative to the flag.
-  void begin_encapsulation();
-  void end_encapsulation();
+  /// Opens a sequence<octet> whose content is written in place as its own
+  /// stream: ulong count (backpatched by end_octet_seq), then content
+  /// aligned relative to its first byte. An encapsulation is such a
+  /// sequence whose first octet is the endian flag (put_boolean of
+  /// kHostLittleEndian).
+  void begin_octet_seq();
+  /// Closes the innermost open sequence; returns its content size.
+  std::size_t end_octet_seq();
 
   /// Restarts the alignment origin at the current position. GIOP framing
   /// uses this: content after the fixed 12-byte header aligns as its own
-  /// stream, exactly as if it were built in a separate encoder.
+  /// stream.
   void mark_origin() noexcept { origin_ = len_; }
 
   /// Seals the frame into an immutable WireBuf; the Writer is finished.
   WireBuf seal();
 
  private:
+  static constexpr std::size_t kDefaultReserve = 256;
+  static constexpr std::size_t kOwnedMinSlab = std::size_t{1} << 12;
+
   template <typename T>
   void put_aligned(T v) {
     align(sizeof(T));
@@ -213,17 +155,18 @@ class Writer {
   }
   void grow(std::size_t min_capacity);
 
+  Arena own_{kOwnedMinSlab};  // holds no slab unless arena_ refers to it
   Arena& arena_;
   std::uint8_t* base_ = nullptr;
   std::size_t len_ = 0;
   std::size_t cap_ = 0;
-  std::size_t origin_ = 0;  // alignment origin (current encapsulation start)
-  struct EncapFrame {
+  std::size_t origin_ = 0;  // alignment origin (current sequence start)
+  struct SeqFrame {
     std::size_t patch_pos = 0;
     std::size_t prev_origin = 0;
   };
-  static constexpr std::size_t kMaxEncapDepth = 4;
-  std::array<EncapFrame, kMaxEncapDepth> encaps_{};
+  static constexpr std::size_t kMaxSeqDepth = 4;
+  std::array<SeqFrame, kMaxSeqDepth> seqs_{};
   std::size_t depth_ = 0;
   bool sealed_ = false;
 };

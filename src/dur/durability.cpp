@@ -108,10 +108,10 @@ void NodeDurability::write_meta() {
     m.max_epoch = s.max_epoch;
     m.client_next_op = s.client_next_op;
   }
-  cdr::Encoder enc;
-  encode_meta_record_into(enc, m);
+  cdr::Writer w;
+  encode_meta_record_into(w, m);
   Bytes framed;
-  frame_append(framed, enc.data());
+  frame_append(framed, w.written());
   disk_.write_file("meta", framed);
 }
 

@@ -61,7 +61,7 @@ struct RecoveredGroup {
   std::uint64_t state_version = 0;
   std::uint64_t digest = 0;    // digest the recovered state must match
   std::uint64_t position = 0;  // first journal index to replay
-  Bytes blob;                  // engine checkpoint state
+  cdr::WireBuf blob;           // engine checkpoint state
 };
 
 struct RecoveryStats {

@@ -25,10 +25,10 @@ void Journal::open() {
 bool Journal::append(JournalRecord& rec) {
   if (broken_) return false;
   rec.index = next_index_;
-  cdr::Encoder enc;
-  encode_journal_record_into(enc, rec);
+  cdr::Writer w;
+  encode_journal_record_into(w, rec);
   scratch_.clear();
-  frame_append(scratch_, enc.data());
+  frame_append(scratch_, w.written());
   if (!disk_.append(file_, scratch_)) {
     broken_ = true;  // disk full: the journal stops, the engine keeps going
     return false;
@@ -67,9 +67,9 @@ std::size_t Journal::compact(std::uint64_t keep_from) {
   Bytes kept;
   for (const JournalRecord& r : s.records) {
     if (r.index < keep_from) continue;
-    cdr::Encoder enc;
-    encode_journal_record_into(enc, r);
-    frame_append(kept, enc.data());
+    cdr::Writer w;
+    encode_journal_record_into(w, r);
+    frame_append(kept, w.written());
   }
   const std::size_t before = disk_.size(file_);
   if (!disk_.write_file(file_, kept)) return 0;
@@ -87,10 +87,10 @@ std::string CheckpointStore::file_name(const std::string& group,
 }
 
 bool CheckpointStore::save(const CheckpointRecord& rec) {
-  cdr::Encoder enc;
-  encode_checkpoint_record_into(enc, rec);
+  cdr::Writer w;
+  encode_checkpoint_record_into(w, rec);
   Bytes framed;
-  frame_append(framed, enc.data());
+  frame_append(framed, w.written());
   if (!disk_.write_file(file_name(rec.group, rec.state_version), framed)) {
     return false;
   }

@@ -30,7 +30,7 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void encode_journal_record_into(cdr::Encoder& out, const JournalRecord& r) {
+void encode_journal_record_into(cdr::Writer& out, const JournalRecord& r) {
   out.put_ulonglong(r.index);
   out.put_ulonglong(r.carrier.epoch);
   out.put_ulonglong(r.carrier.seq);
@@ -58,7 +58,7 @@ JournalRecord decode_journal_record(cdr::Decoder& in) {
   return r;
 }
 
-void encode_checkpoint_record_into(cdr::Encoder& out,
+void encode_checkpoint_record_into(cdr::Writer& out,
                                    const CheckpointRecord& r) {
   out.put_string(r.group);
   out.put_octet(r.style);
@@ -79,11 +79,11 @@ CheckpointRecord decode_checkpoint_record(cdr::Decoder& in) {
   r.position = in.get_ulonglong();
   r.max_epoch = in.get_ulonglong();
   r.client_next_op = in.get_ulonglong();
-  r.blob = in.get_octet_seq();
+  r.blob = in.get_octet_seq_buf();
   return r;
 }
 
-void encode_meta_record_into(cdr::Encoder& out, const MetaRecord& r) {
+void encode_meta_record_into(cdr::Writer& out, const MetaRecord& r) {
   out.put_ulonglong(r.max_epoch);
   out.put_ulonglong(r.client_next_op);
 }
@@ -113,7 +113,7 @@ std::uint32_t read_u32(const Bytes& data, std::size_t at) {
 
 }  // namespace
 
-void frame_append(Bytes& out, const Bytes& payload) {
+void frame_append(Bytes& out, std::span<const std::uint8_t> payload) {
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   put_u32(out, crc32(payload.data(), payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());

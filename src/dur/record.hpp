@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "cdr/cdr.hpp"
@@ -57,7 +58,7 @@ struct CheckpointRecord {
   std::uint64_t position = 0;       // journal index replay resumes from
   std::uint64_t max_epoch = 0;      // ring-epoch high water at the cut
   std::uint64_t client_next_op = 0; // this node's client op high water
-  Bytes blob;                       // engine three-tier checkpoint state
+  cdr::WireBuf blob;                // engine three-tier checkpoint state
 };
 
 struct MetaRecord {
@@ -65,19 +66,19 @@ struct MetaRecord {
   std::uint64_t client_next_op = 0;
 };
 
-void encode_journal_record_into(cdr::Encoder& out, const JournalRecord& r);
+void encode_journal_record_into(cdr::Writer& out, const JournalRecord& r);
 JournalRecord decode_journal_record(cdr::Decoder& in);
 
-void encode_checkpoint_record_into(cdr::Encoder& out,
+void encode_checkpoint_record_into(cdr::Writer& out,
                                    const CheckpointRecord& r);
 CheckpointRecord decode_checkpoint_record(cdr::Decoder& in);
 
-void encode_meta_record_into(cdr::Encoder& out, const MetaRecord& r);
+void encode_meta_record_into(cdr::Writer& out, const MetaRecord& r);
 MetaRecord decode_meta_record(cdr::Decoder& in);
 
 /// Append one framed record (length + CRC header, then `payload`) to
 /// `out`.
-void frame_append(Bytes& out, const Bytes& payload);
+void frame_append(Bytes& out, std::span<const std::uint8_t> payload);
 
 /// Parse the frame starting at `offset`. Returns true and sets
 /// `payload_offset`/`payload_len` when an intact, CRC-valid frame is

@@ -7,20 +7,21 @@
 
 namespace eternal::ft {
 
-cdr::Bytes Iogr::encode() const {
-  cdr::Encoder enc = cdr::Encoder::make_encapsulation();
-  enc.put_string(type_id);
-  enc.put_string(group);
-  enc.put_ulong(version);
-  enc.put_ulong(static_cast<std::uint32_t>(profiles.size()));
+cdr::WireBuf Iogr::encode() const {
+  cdr::Writer w;
+  w.put_boolean(cdr::kHostLittleEndian);
+  w.put_string(type_id);
+  w.put_string(group);
+  w.put_ulong(version);
+  w.put_ulong(static_cast<std::uint32_t>(profiles.size()));
   for (const auto& p : profiles) {
-    enc.put_ulong(p.node);
-    enc.put_octet_seq(p.object_key);
+    w.put_ulong(p.node);
+    w.put_octet_seq(p.object_key);
   }
-  return enc.take();
+  return w.seal();
 }
 
-Iogr Iogr::decode(const cdr::Bytes& wire) {
+Iogr Iogr::decode(const cdr::WireBuf& wire) {
   cdr::Decoder outer(wire);
   const bool little = outer.get_boolean();
   outer.set_swap(little != cdr::kHostLittleEndian);

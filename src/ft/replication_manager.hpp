@@ -50,8 +50,9 @@ struct Iogr {
   std::uint32_t version = 0;  // FT_GROUP_VERSION
   std::vector<IogrProfile> profiles;
 
-  cdr::Bytes encode() const;
-  static Iogr decode(const cdr::Bytes& wire);
+  /// An encapsulation: endian flag, then the reference's fields.
+  cdr::WireBuf encode() const;
+  static Iogr decode(const cdr::WireBuf& wire);
   bool operator==(const Iogr&) const = default;
 };
 

@@ -44,15 +44,13 @@ cdr::Writer::Patch put_giop_header(cdr::Writer& w, MsgType type) {
 
 }  // namespace
 
-Bytes FtRequestContext::encode() const {
-  cdr::Encoder enc = cdr::Encoder::make_encapsulation();
-  enc.put_string(client_id);
-  enc.put_long(retention_id);
-  enc.put_ulonglong(expiration_time);
-  cdr::Encoder out;
-  // The context data *is* the encapsulation content.
-  out.put_raw(enc.data());
-  return out.take();
+cdr::WireBuf FtRequestContext::encode() const {
+  cdr::Writer w;
+  w.put_boolean(cdr::kHostLittleEndian);
+  w.put_string(client_id);
+  w.put_long(retention_id);
+  w.put_ulonglong(expiration_time);
+  return w.seal();
 }
 
 FtRequestContext FtRequestContext::decode(const cdr::WireBuf& data) {
@@ -66,12 +64,11 @@ FtRequestContext FtRequestContext::decode(const cdr::WireBuf& data) {
   return ctx;
 }
 
-Bytes FtGroupVersionContext::encode() const {
-  cdr::Encoder enc = cdr::Encoder::make_encapsulation();
-  enc.put_ulong(object_group_ref_version);
-  cdr::Encoder out;
-  out.put_raw(enc.data());
-  return out.take();
+cdr::WireBuf FtGroupVersionContext::encode() const {
+  cdr::Writer w;
+  w.put_boolean(cdr::kHostLittleEndian);
+  w.put_ulong(object_group_ref_version);
+  return w.seal();
 }
 
 FtGroupVersionContext FtGroupVersionContext::decode(const cdr::WireBuf& data) {
@@ -83,10 +80,10 @@ FtGroupVersionContext FtGroupVersionContext::decode(const cdr::WireBuf& data) {
   return ctx;
 }
 
-void SystemExceptionBody::encode(cdr::Encoder& enc) const {
-  enc.put_string(exception_id);
-  enc.put_ulong(minor_code);
-  enc.put_ulong(completion_status);
+void SystemExceptionBody::encode(cdr::Writer& w) const {
+  w.put_string(exception_id);
+  w.put_ulong(minor_code);
+  w.put_ulong(completion_status);
 }
 
 SystemExceptionBody SystemExceptionBody::decode(cdr::Decoder& dec) {
@@ -108,36 +105,6 @@ void encode_request_into(cdr::Writer& w, const RequestHeader& hdr,
   w.put_string(hdr.operation);
   w.put_octet_seq(std::span<const std::uint8_t>{});  // requesting principal (GIOP 1.0, always empty)
   w.align(8);           // body starts 8-aligned, as GIOP 1.2 requires
-  w.put_raw(body);
-  w.patch_ulong(size, static_cast<std::uint32_t>(w.size() - start - 12));
-}
-
-void encode_request_inline(cdr::Writer& w, std::uint32_t request_id,
-                           bool response_expected, std::string_view object_key,
-                           std::string_view operation,
-                           const FtRequestContext* ft,
-                           std::span<const std::uint8_t> body) {
-  const std::size_t start = w.size();
-  const cdr::Writer::Patch size = put_giop_header(w, MsgType::Request);
-  w.put_ulong(ft ? 1u : 0u);  // service context count
-  if (ft != nullptr) {
-    w.put_ulong(static_cast<std::uint32_t>(ServiceId::FtRequest));
-    // The context data is a CDR encapsulation, written in place instead of
-    // marshaled into a temporary and copied as an octet sequence.
-    w.begin_encapsulation();
-    w.put_string(ft->client_id);
-    w.put_long(ft->retention_id);
-    w.put_ulonglong(ft->expiration_time);
-    w.end_encapsulation();
-  }
-  w.put_ulong(request_id);
-  w.put_boolean(response_expected);
-  w.put_octet_seq(
-      {reinterpret_cast<const std::uint8_t*>(object_key.data()),
-       object_key.size()});
-  w.put_string(operation);
-  w.put_octet_seq(std::span<const std::uint8_t>{});  // requesting principal
-  w.align(8);
   w.put_raw(body);
   w.patch_ulong(size, static_cast<std::uint32_t>(w.size() - start - 12));
 }
@@ -212,22 +179,6 @@ Message decode(const cdr::WireBuf& wire) {
   msg.body = cdec.get_raw_buf(cdec.remaining());
   return msg;
 }
-
-Bytes encode_request(const RequestHeader& hdr, const Bytes& body) {
-  cdr::Arena arena;
-  cdr::Writer w(arena, body.size() + 256);
-  encode_request_into(w, hdr, body);
-  return w.seal().to_bytes();
-}
-
-Bytes encode_reply(const ReplyHeader& hdr, const Bytes& body) {
-  cdr::Arena arena;
-  cdr::Writer w(arena, body.size() + 256);
-  encode_reply_into(w, hdr, body);
-  return w.seal().to_bytes();
-}
-
-Message decode(const Bytes& wire) { return decode(cdr::WireBuf(wire)); }
 
 const ServiceContext* find_context(const std::vector<ServiceContext>& ctxs,
                                    ServiceId id) {

@@ -13,14 +13,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cdr/cdr.hpp"
 
 namespace eternal::giop {
-
-using cdr::Bytes;
 
 /// IOP-assigned service context identifiers. 12 and 13 are the real values
 /// the OMG assigned for FT-CORBA.
@@ -44,7 +41,8 @@ struct FtRequestContext {
   std::int32_t retention_id = 0;
   std::uint64_t expiration_time = 0;
 
-  Bytes encode() const;
+  /// The context data: an encapsulation (endian flag, then the fields).
+  cdr::WireBuf encode() const;
   static FtRequestContext decode(const cdr::WireBuf& data);
   bool operator==(const FtRequestContext&) const = default;
 };
@@ -55,7 +53,7 @@ struct FtRequestContext {
 struct FtGroupVersionContext {
   std::uint32_t object_group_ref_version = 0;
 
-  Bytes encode() const;
+  cdr::WireBuf encode() const;
   static FtGroupVersionContext decode(const cdr::WireBuf& data);
   bool operator==(const FtGroupVersionContext&) const = default;
 };
@@ -91,7 +89,7 @@ struct SystemExceptionBody {
   std::uint32_t minor_code = 0;
   std::uint32_t completion_status = 0;  // 0=yes, 1=no, 2=maybe
 
-  void encode(cdr::Encoder& enc) const;
+  void encode(cdr::Writer& w) const;
   static SystemExceptionBody decode(cdr::Decoder& dec);
   bool operator==(const SystemExceptionBody&) const = default;
 };
@@ -137,25 +135,9 @@ void encode_request_into(cdr::Writer& w, const RequestHeader& hdr,
 void encode_reply_into(cdr::Writer& w, const ReplyHeader& hdr,
                        std::span<const std::uint8_t> body);
 
-/// Client hot path: frame a request without materialising a RequestHeader —
-/// object key and operation are written straight from views, and the
-/// FT_REQUEST context (when given) is emitted as an in-place encapsulation.
-/// Byte-identical to encode_request_into over the equivalent header.
-void encode_request_inline(cdr::Writer& w, std::uint32_t request_id,
-                           bool response_expected, std::string_view object_key,
-                           std::string_view operation,
-                           const FtRequestContext* ft,
-                           std::span<const std::uint8_t> body);
-
 /// Parse a framed message; contexts/object key/body reference `wire`
 /// (refcount bump, no copy). Throws cdr::MarshalError on malformed input.
 Message decode(const cdr::WireBuf& wire);
-
-/// Compat shims (tests, cold paths): one-shot arena frames returned as
-/// owned Bytes, and decode of an owned byte vector.
-Bytes encode_request(const RequestHeader& hdr, const Bytes& body);
-Bytes encode_reply(const ReplyHeader& hdr, const Bytes& body);
-Message decode(const Bytes& wire);
 
 /// Convenience: find a service context by id.
 const ServiceContext* find_context(const std::vector<ServiceContext>& ctxs,

@@ -16,7 +16,7 @@ namespace {
 constexpr std::uint32_t kMagic = 0x45544652;  // "ETFR"
 constexpr std::uint32_t kVersion = 1;
 
-void put_record(cdr::Encoder& enc, const FlightRecord& r) {
+void put_record(cdr::Writer& enc, const FlightRecord& r) {
   enc.put_ulonglong(r.time);
   enc.put_ulonglong(r.end);
   enc.put_ulong(r.node);
@@ -190,8 +190,8 @@ std::vector<FlightRecord> FlightRecorder::records() const {
   return out;
 }
 
-std::vector<std::uint8_t> FlightRecorder::encode() const {
-  cdr::Encoder enc;
+cdr::WireBuf FlightRecorder::encode() const {
+  cdr::Writer enc;
   enc.put_ulong(kMagic);
   enc.put_ulong(kVersion);
   enc.put_ulong(static_cast<std::uint32_t>(rings_.size()));
@@ -202,7 +202,7 @@ std::vector<std::uint8_t> FlightRecorder::encode() const {
     enc.put_ulong(static_cast<std::uint32_t>(recs.size()));
     for (const FlightRecord& r : recs) put_record(enc, r);
   }
-  return enc.take();
+  return enc.seal();
 }
 
 std::vector<FlightRecord> FlightRecorder::decode(
@@ -232,7 +232,7 @@ std::vector<FlightRecord> FlightRecorder::decode(
 }
 
 bool FlightRecorder::dump(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = encode();
+  const cdr::WireBuf bytes = encode();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
   out.write(reinterpret_cast<const char*>(bytes.data()),

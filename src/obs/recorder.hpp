@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cdr/arena.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
 
@@ -97,7 +98,7 @@ class FlightRecorder {
   std::vector<FlightRecord> records() const;
 
   /// Serialize every ring to the binary dump format.
-  std::vector<std::uint8_t> encode() const;
+  cdr::WireBuf encode() const;
   static std::vector<FlightRecord> decode(
       const std::vector<std::uint8_t>& bytes);
 

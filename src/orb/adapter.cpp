@@ -25,10 +25,10 @@ cdr::WireBuf make_exception_reply(cdr::Arena& arena, std::uint32_t request_id,
   body.exception_id = ex.exception_id();
   body.minor_code = ex.minor();
   body.completion_status = static_cast<std::uint32_t>(ex.completed());
-  cdr::Encoder enc;
+  cdr::Writer enc;
   body.encode(enc);
   cdr::Writer w(arena);
-  giop::encode_reply_into(w, hdr, enc.data());
+  giop::encode_reply_into(w, hdr, enc.written());
   return w.seal();
 }
 
@@ -70,7 +70,7 @@ cdr::WireBuf ObjectAdapter::handle_request_sync(cdr::Arena& arena,
     auto servant = find(key);
     if (!servant) throw object_not_exist(key);
     cdr::Decoder args(msg.body);
-    cdr::Encoder result;
+    cdr::Writer result;
     Task task = servant->dispatch(req.operation, ctx, args, result);
     if (!task.done()) {
       // A suspending operation cannot be completed on the synchronous
@@ -80,7 +80,7 @@ cdr::WireBuf ObjectAdapter::handle_request_sync(cdr::Arena& arena,
     std::exception_ptr failure;
     task.on_complete([&](std::exception_ptr e) { failure = e; });
     if (failure) std::rethrow_exception(failure);
-    return make_success_reply(arena, req.request_id, result.data());
+    return make_success_reply(arena, req.request_id, result.written());
   } catch (const SystemException& ex) {
     return make_exception_reply(arena, req.request_id, ex);
   } catch (const cdr::MarshalError&) {

@@ -55,7 +55,7 @@ class PlainContext : public InvokerContext {
       : now_(now), rand_state_(rand_seed) {}
 
   Future<cdr::Bytes> invoke(const std::string&, const std::string&,
-                            cdr::Bytes) override {
+                            std::span<const std::uint8_t>) override {
     throw transient();
   }
   std::uint64_t logical_time() const override { return now_; }

@@ -12,21 +12,27 @@ void PlainOrb::attach() {
 }
 
 Future<cdr::Bytes> PlainOrb::invoke(sim::NodeId server, const std::string& key,
-                                    const std::string& op, cdr::Bytes args) {
+                                    const std::string& op,
+                                    std::span<const std::uint8_t> args) {
   const std::uint32_t request_id = next_request_id_++;
   Future<cdr::Bytes> fut;
   pending_.emplace(request_id, fut);
+  giop::RequestHeader hdr;
+  hdr.request_id = request_id;
+  hdr.object_key = cdr::WireBuf(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(key.data()), key.size()));
+  hdr.operation = op;
   cdr::Writer w(arena_, args.size() + 128);
-  giop::encode_request_inline(w, request_id, /*response_expected=*/true, key,
-                              op, /*ft=*/nullptr, args);
+  giop::encode_request_into(w, hdr, args);
   net_.unicast(id_, server, w.seal());
   return fut;
 }
 
 cdr::Bytes PlainOrb::invoke_blocking(sim::NodeId server, const std::string& key,
-                                     const std::string& op, cdr::Bytes args,
+                                     const std::string& op,
+                                     std::span<const std::uint8_t> args,
                                      sim::Time timeout) {
-  auto fut = invoke(server, key, op, std::move(args));
+  auto fut = invoke(server, key, op, args);
   const sim::Time deadline = sim_.now() + timeout;
   while (!fut.ready() && sim_.now() < deadline) {
     if (!sim_.step()) break;

@@ -31,12 +31,14 @@ class PlainOrb {
 
   /// Invoke `op` on the servant registered under `key` at `server`.
   Future<cdr::Bytes> invoke(sim::NodeId server, const std::string& key,
-                            const std::string& op, cdr::Bytes args);
+                            const std::string& op,
+                            std::span<const std::uint8_t> args);
 
   /// Convenience for tests/benches: invoke and drive the simulation until
   /// the reply arrives (or `timeout` elapses, raising TIMEOUT).
   cdr::Bytes invoke_blocking(sim::NodeId server, const std::string& key,
-                             const std::string& op, cdr::Bytes args,
+                             const std::string& op,
+                             std::span<const std::uint8_t> args,
                              sim::Time timeout = sim::kSecond);
 
  private:

@@ -3,7 +3,7 @@
 namespace eternal::orb {
 
 Task Servant::dispatch(const std::string& op, InvokerContext& ctx,
-                       cdr::Decoder& in, cdr::Encoder& out) {
+                       cdr::Decoder& in, cdr::Writer& out) {
   auto it = ops_.find(op);
   if (it == ops_.end()) throw bad_operation(op);
   return it->second(ctx, in, out);
@@ -12,7 +12,7 @@ Task Servant::dispatch(const std::string& op, InvokerContext& ctx,
 void Servant::op(const std::string& name, SyncHandler handler) {
   ops_[name] = [handler = std::move(handler)](
                    InvokerContext& ctx, cdr::Decoder& in,
-                   cdr::Encoder& out) -> Task {
+                   cdr::Writer& out) -> Task {
     handler(ctx, in, out);
     co_return;
   };

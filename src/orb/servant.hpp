@@ -3,8 +3,8 @@
 // A servant registers named operations; the infrastructure dispatches
 // decoded GIOP requests to them. Handlers come in two flavours:
 //
-//   * sync:  void(InvokerContext&, Decoder& args, Encoder& result)
-//   * async: Task(InvokerContext&, Decoder& args, Encoder& result)
+//   * sync:  void(InvokerContext&, Decoder& args, Writer& result)
+//   * async: Task(InvokerContext&, Decoder& args, Writer& result)
 //            — may `co_await ctx.invoke(...)` for nested operations
 //
 // The InvokerContext is the servant's *only* window on the outside world:
@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 
 #include "cdr/cdr.hpp"
@@ -34,7 +35,7 @@ class InvokerContext {
   /// duplicates and routes the (totally ordered) reply back here.
   virtual Future<cdr::Bytes> invoke(const std::string& group,
                                     const std::string& op,
-                                    cdr::Bytes args) = 0;
+                                    std::span<const std::uint8_t> args) = 0;
 
   /// Sanitized time service: identical at every replica of the group
   /// (derived from the invoking message, not the local clock).
@@ -57,9 +58,9 @@ class InvokerContext {
 class Servant {
  public:
   using AsyncHandler =
-      std::function<Task(InvokerContext&, cdr::Decoder&, cdr::Encoder&)>;
+      std::function<Task(InvokerContext&, cdr::Decoder&, cdr::Writer&)>;
   using SyncHandler =
-      std::function<void(InvokerContext&, cdr::Decoder&, cdr::Encoder&)>;
+      std::function<void(InvokerContext&, cdr::Decoder&, cdr::Writer&)>;
 
   virtual ~Servant() = default;
 
@@ -70,7 +71,7 @@ class Servant {
   /// Dispatch an operation. Throws SystemException(BAD_OPERATION) for an
   /// unknown name. The returned Task may already be complete (sync body).
   Task dispatch(const std::string& op, InvokerContext& ctx, cdr::Decoder& in,
-                cdr::Encoder& out);
+                cdr::Writer& out);
 
   /// Whether this operation mutates servant state. Read-only operations do
   /// not trigger state updates under passive replication.

@@ -36,7 +36,7 @@ Client::~Client() {
 }
 
 Invocation Client::invoke(const std::string& group, const std::string& op,
-                          cdr::Bytes args) {
+                          std::span<const std::uint8_t> args) {
   // lint: hotpath — client-side send path, one pass per invocation
   // Backpressure: refuse new work while the Totem send queue is full or the
   // configured pipelining cap is reached. TRANSIENT tells the caller to
@@ -65,13 +65,8 @@ Invocation Client::invoke(const std::string& group, const std::string& op,
   env.reply_group = reply_group_;
   env.source_group = "";
   env.timestamp = engine_.simulation().now();
-  // Single pass: object key, operation, FT_REQUEST context and body go
-  // straight into an arena frame — no intermediate header or byte vectors.
-  cdr::Writer w(engine_.groups_.arena(), args.size() + 192);
-  giop::encode_request_inline(w, static_cast<std::uint32_t>(op_id.op_seq),
-                              /*response_expected=*/true, group, op, &ft,
-                              args);
-  env.giop = w.seal();
+  env.giop = engine_.frame_request(static_cast<std::uint32_t>(op_id.op_seq),
+                                   group, op, ft, args);
 
   auto& tracer = obs::Tracer::global();
   std::uint64_t client_span = 0;
@@ -151,9 +146,10 @@ void Client::retransmit_arm(const OperationId& op) {
 }
 
 cdr::Bytes Client::invoke_blocking(const std::string& group,
-                                   const std::string& op, cdr::Bytes args,
+                                   const std::string& op,
+                                   std::span<const std::uint8_t> args,
                                    sim::Time timeout) {
-  return invoke(group, op, std::move(args)).get(timeout);
+  return invoke(group, op, args).get(timeout);
 }
 
 }  // namespace eternal::rep

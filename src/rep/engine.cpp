@@ -107,7 +107,9 @@ struct Engine::Execution {
   Envelope invocation;   // the envelope that started this execution
   GlobalSeq carrier;     // total-order position of that envelope
   giop::Message request; // parsed GIOP request (slices the invocation frame)
-  cdr::Encoder out;
+  /// The servant's result. Opened when the execution is acquired and
+  /// dropped when it is released, so a parked execution holds no slab.
+  std::optional<cdr::Writer> out;
   std::unique_ptr<orb::InvokerContext> ctx;
   orb::Task task;
   std::uint64_t next_op_seq = 1;
@@ -117,11 +119,12 @@ struct Engine::Execution {
   std::uint64_t span_id = 0;     // ExecStart span; parents nested invokes
   std::uint64_t exec_begin = 0;  // sim time execution started
 
-  explicit Execution(const OperationId& id) : rng(id.hash()) {}
+  explicit Execution(const OperationId& id)
+      : out(std::in_place), rng(id.hash()) {}
 
-  /// Re-arm a parked execution for a new operation. The heap-backed pieces
-  /// (result encoder, strings, context) keep their allocations; frame
-  /// references were dropped when the execution was released.
+  /// Re-arm a parked execution for a new operation: a fresh result Writer
+  /// opens, and the heap-backed pieces (strings, context) keep their
+  /// allocations. Frame references were dropped when it was released.
   void reinit(const OperationId& id) {
     op_id = OperationId{};
     next_op_seq = 1;
@@ -130,7 +133,7 @@ struct Engine::Execution {
     op_name.clear();
     span_id = 0;
     exec_begin = 0;
-    out.clear();
+    out.emplace();
   }
 };
 
@@ -147,7 +150,7 @@ class ExecContext final : public orb::InvokerContext {
 
   orb::Future<cdr::Bytes> invoke(const std::string& target,
                                  const std::string& op,
-                                 cdr::Bytes args) override;
+                                 std::span<const std::uint8_t> args) override;
 
   /// Re-aim a pooled context at a new operation. The engine and execution
   /// references stay valid: pooled Execution objects have stable addresses.
@@ -181,6 +184,8 @@ Engine::Engine(sim::Simulation& sim, totem::GroupLayer& groups,
       tracer_(obs::Tracer::global()),
       oracle_(params.divergence_check_interval) {
   counters_.reset();
+  tx_request_.service_contexts.push_back(
+      {static_cast<std::uint32_t>(giop::ServiceId::FtRequest), {}});
   groups_.subscribe_all(
       [this](const totem::GroupMessage& m) { on_message(m); });
   groups_.set_group_view_handler(
@@ -711,6 +716,7 @@ void Engine::release_execution(std::unique_ptr<Execution> ex) {
     ex->request.request->service_contexts.clear();
   }
   ex->request.body = cdr::WireBuf();
+  ex->out.reset();
   ex->task = orb::Task{};
   if (exec_pool_.size() < kExecPoolCap) exec_pool_.push_back(std::move(ex));
 }
@@ -759,7 +765,7 @@ void Engine::start_execution(LocalGroup& g, const Envelope& env,
   std::exception_ptr dispatch_error;
   try {
     cdr::Decoder args(ex.request.body);
-    ex.task = g.replica->dispatch(ex.op_name, *ex.ctx, args, ex.out);
+    ex.task = g.replica->dispatch(ex.op_name, *ex.ctx, args, *ex.out);
   } catch (...) {
     dispatch_error = std::current_exception();
   }
@@ -801,7 +807,7 @@ void Engine::finish_execution(LocalGroup& g, Execution& ex,
                                orb::Completion::Maybe));
     }
   } else {
-    reply = orb::make_success_reply(arena, request_id, ex.out.data());
+    reply = orb::make_success_reply(arena, request_id, ex.out->written());
   }
 
   counters_.invocations_executed.inc();
@@ -841,9 +847,9 @@ void Engine::finish_execution(LocalGroup& g, Execution& ex,
     up.operation = ex.op_name;
     up.trace_id = ex.invocation.trace_id;
     up.parent_span = ex.span_id;
-    cdr::Encoder update;
+    cdr::Writer update;
     g.replica->get_update(ex.op_name, update);
-    up.update = cdr::WireBuf(update.data());
+    up.update = update.seal();
     send_envelope(g.cfg.name, up);
   }
 
@@ -899,9 +905,9 @@ void Engine::finish_execution(LocalGroup& g, Execution& ex,
   maybe_cut_checkpoint(g);
 }
 
-orb::Future<cdr::Bytes> ExecContext::invoke(const std::string& target,
-                                            const std::string& op,
-                                            cdr::Bytes args) {
+orb::Future<cdr::Bytes> ExecContext::invoke(
+    const std::string& target, const std::string& op,
+    std::span<const std::uint8_t> args) {
   OperationId nested;
   nested.parent = exec_.carrier;
   nested.op_seq = exec_.next_op_seq++;
@@ -923,11 +929,8 @@ orb::Future<cdr::Bytes> ExecContext::invoke(const std::string& target,
   // execution span that issued them.
   env.trace_id = exec_.invocation.trace_id;
   env.parent_span = exec_.span_id;
-  cdr::Writer w(engine_.groups_.arena(), args.size() + 192);
-  giop::encode_request_inline(w, static_cast<std::uint32_t>(nested.hash()),
-                              /*response_expected=*/true, target, op, &ft,
-                              args);
-  env.giop = w.seal();
+  env.giop = engine_.frame_request(static_cast<std::uint32_t>(nested.hash()),
+                                   target, op, ft, args);
 
   auto future = engine_.expect_reply(group_, nested);
   std::uint32_t rank = 0;
@@ -936,6 +939,21 @@ orb::Future<cdr::Bytes> ExecContext::invoke(const std::string& target,
   }
   engine_.send_invocation(std::move(env), rank);
   return future;
+}
+
+cdr::WireBuf Engine::frame_request(std::uint32_t request_id,
+                                   const std::string& group,
+                                   const std::string& op,
+                                   const giop::FtRequestContext& ft,
+                                   std::span<const std::uint8_t> args) {
+  // lint: hotpath — request framing for every client and nested invocation
+  tx_request_.request_id = request_id;
+  tx_request_.object_key = totem::group_buf(group);
+  tx_request_.operation = op;
+  tx_request_.service_contexts.front().context_data = ft.encode();
+  cdr::Writer w(groups_.arena(), args.size() + 192);
+  giop::encode_request_into(w, tx_request_, args);
+  return w.seal();
 }
 
 // ---------------------------------------------------------------------------
@@ -1475,7 +1493,7 @@ void Engine::serve_snapshot(LocalGroup& g, std::uint32_t joiner,
   // "transfer while operating" requirement — and ops that complete between
   // the marker and a deferred cut are safe: their replies ride in the
   // snapshot's reply log, so the joiner suppresses its buffered copies.
-  Bytes blob = encode_checkpoint(g, nullptr);
+  const cdr::WireBuf blob = encode_checkpoint(g, nullptr);
   counters_.snapshots_served.inc();
   const std::uint32_t chunk = params_.snapshot_chunk_bytes;
   const std::uint32_t count =
@@ -1491,8 +1509,7 @@ void Engine::serve_snapshot(LocalGroup& g, std::uint32_t joiner,
     env.chunk_count = count;
     const std::size_t lo = static_cast<std::size_t>(i) * chunk;
     const std::size_t hi = std::min(blob.size(), lo + chunk);
-    env.blob = cdr::WireBuf(
-        std::span<const std::uint8_t>(blob.data() + lo, hi - lo));
+    env.blob = blob.slice(lo, hi - lo);
     send_envelope(g.cfg.name, env);
   }
 }
@@ -1505,12 +1522,10 @@ void Engine::handle_snapshot(LocalGroup& g, const Envelope& env) {
   g.snapshot_chunks[env.chunk_index] = env.blob;
   if (g.snapshot_chunks.size() < env.chunk_count) return;
 
-  Bytes blob;
-  for (auto& [idx, chunk] : g.snapshot_chunks) {
-    blob.insert(blob.end(), chunk.data(), chunk.data() + chunk.size());
-  }
+  cdr::Writer blob;
+  for (auto& [idx, chunk] : g.snapshot_chunks) blob.put_raw(chunk.span());
   g.snapshot_chunks.clear();
-  apply_checkpoint(g, blob);
+  apply_checkpoint(g, blob.seal());
   counters_.snapshots_applied.inc();
   complete_sync(g);
 }
@@ -1632,68 +1647,70 @@ void Engine::handle_state_digest(LocalGroup& g, const Envelope& env) {
   if (divergence_observer_) divergence_observer_(*report);
 }
 
-Bytes Engine::encode_checkpoint(const LocalGroup& g,
-                                CheckpointSizes* sizes) const {
+cdr::WireBuf Engine::encode_checkpoint(const LocalGroup& g,
+                                       CheckpointSizes* sizes) const {
+  // Each tier is a sequence<octet> written in place as its own stream.
+  cdr::Writer w;
+
   // Tier 1: application state.
-  cdr::Encoder tier1;
-  g.replica->get_state(tier1);
+  w.begin_octet_seq();
+  g.replica->get_state(w);
+  const std::size_t application = w.end_octet_seq();
 
   // Tier 2: ORB state — the reply log and executed-operation set, without
   // which a recovered replica would re-execute or fail to answer retries.
-  cdr::Encoder tier2;
-  tier2.put_ulong(static_cast<std::uint32_t>(g.reply_log_order.size()));
+  w.begin_octet_seq();
+  w.put_ulong(static_cast<std::uint32_t>(g.reply_log_order.size()));
   for (const OperationId& op : g.reply_log_order) {
     auto it = g.reply_log.find(op);
-    tier2.put_ulonglong(op.parent.epoch);
-    tier2.put_ulonglong(op.parent.seq);
-    tier2.put_ulonglong(op.op_seq);
-    tier2.put_octet_seq(it->second.span());
+    w.put_ulonglong(op.parent.epoch);
+    w.put_ulonglong(op.parent.seq);
+    w.put_ulonglong(op.op_seq);
+    w.put_octet_seq(it->second);
   }
-  tier2.put_ulong(static_cast<std::uint32_t>(g.known_ops.size()));
+  w.put_ulong(static_cast<std::uint32_t>(g.known_ops.size()));
   for (const OperationId& op : g.known_ops) {
-    tier2.put_ulonglong(op.parent.epoch);
-    tier2.put_ulonglong(op.parent.seq);
-    tier2.put_ulonglong(op.op_seq);
+    w.put_ulonglong(op.parent.epoch);
+    w.put_ulonglong(op.parent.seq);
+    w.put_ulonglong(op.op_seq);
   }
+  const std::size_t orb = w.end_octet_seq();
 
   // Tier 3: infrastructure state — versions, the passive invocation log,
   // and the synced set.
-  cdr::Encoder tier3;
-  tier3.put_ulonglong(g.state_version);
-  tier3.put_ulong(static_cast<std::uint32_t>(g.invocation_log.size()));
+  w.begin_octet_seq();
+  w.put_ulonglong(g.state_version);
+  w.put_ulong(static_cast<std::uint32_t>(g.invocation_log.size()));
   for (const auto& logged : g.invocation_log) {
-    tier3.put_octet_seq(encode(logged.env));
-    tier3.put_ulonglong(logged.carrier.epoch);
-    tier3.put_ulonglong(logged.carrier.seq);
+    w.begin_octet_seq();
+    encode_envelope_into(w, logged.env);
+    w.end_octet_seq();
+    w.put_ulonglong(logged.carrier.epoch);
+    w.put_ulonglong(logged.carrier.seq);
   }
-  tier3.put_ulong(static_cast<std::uint32_t>(g.synced_set.size()));
-  for (NodeId n : g.synced_set) tier3.put_ulong(n);
+  w.put_ulong(static_cast<std::uint32_t>(g.synced_set.size()));
+  for (NodeId n : g.synced_set) w.put_ulong(n);
+  const std::size_t infrastructure = w.end_octet_seq();
 
   if (sizes) {
-    sizes->application = tier1.size();
-    sizes->orb = tier2.size();
-    sizes->infrastructure = tier3.size();
+    sizes->application = application;
+    sizes->orb = orb;
+    sizes->infrastructure = infrastructure;
   }
-
-  cdr::Encoder out;
-  out.put_octet_seq(tier1.data());
-  out.put_octet_seq(tier2.data());
-  out.put_octet_seq(tier3.data());
-  return out.take();
+  return w.seal();
 }
 
-void Engine::apply_checkpoint(LocalGroup& g, const Bytes& blob) {
-  cdr::Decoder dec(blob);
-  const Bytes tier1 = dec.get_octet_seq();
-  const Bytes tier2 = dec.get_octet_seq();
-  const Bytes tier3 = dec.get_octet_seq();
+void Engine::apply_checkpoint(LocalGroup& g, const cdr::WireBuf& blob) {
+  // Decoded over the plain bytes (not View mode): restored reply-log
+  // entries are copies, so they do not pin the checkpoint's slab.
+  cdr::Decoder dec(blob.span());
+  auto tier = [&dec] { return dec.get_subrange(dec.get_ulong()); };
+  cdr::Decoder d1 = tier();
+  cdr::Decoder d2 = tier();
+  cdr::Decoder d3 = tier();
 
+  g.replica->set_state(d1);
   {
-    cdr::Decoder d1(tier1);
-    g.replica->set_state(d1);
-  }
-  {
-    cdr::Decoder d2(tier2);
     g.reply_log.clear();
     g.reply_log_order.clear();
     g.known_ops.clear();
@@ -1716,13 +1733,12 @@ void Engine::apply_checkpoint(LocalGroup& g, const Bytes& blob) {
     }
   }
   {
-    cdr::Decoder d3(tier3);
     g.state_version = d3.get_ulonglong();
     g.invocation_log.clear();
     const std::uint32_t logged = d3.get_ulong();
     for (std::uint32_t i = 0; i < logged; ++i) {
       LoggedInvocation entry;
-      entry.env = decode_envelope(cdr::WireBuf(d3.get_octet_seq()));
+      entry.env = decode_envelope(d3.get_octet_seq_buf());
       entry.carrier.epoch = d3.get_ulonglong();
       entry.carrier.seq = d3.get_ulonglong();
       g.invocation_log.push_back(std::move(entry));

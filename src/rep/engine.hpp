@@ -32,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -384,8 +385,9 @@ class Engine {
   void replay_fulfillment(LocalGroup& g);
 
   // --- state transfer ---
-  Bytes encode_checkpoint(const LocalGroup& g, CheckpointSizes* sizes) const;
-  void apply_checkpoint(LocalGroup& g, const Bytes& blob);
+  cdr::WireBuf encode_checkpoint(const LocalGroup& g,
+                                 CheckpointSizes* sizes) const;
+  void apply_checkpoint(LocalGroup& g, const cdr::WireBuf& blob);
   void serve_snapshot(LocalGroup& g, std::uint32_t joiner,
                       std::uint32_t round);
   void flush_pending_serves(LocalGroup& g, const OperationId& done);
@@ -393,6 +395,12 @@ class Engine {
   void broadcast_synced_mark(LocalGroup& g);
 
   void log_reply(LocalGroup& g, const OperationId& op, cdr::WireBuf reply);
+  /// Frames an outbound GIOP request carrying the FT_REQUEST context into
+  /// the group arena (client and nested invocations).
+  cdr::WireBuf frame_request(std::uint32_t request_id, const std::string& group,
+                             const std::string& op,
+                             const giop::FtRequestContext& ft,
+                             std::span<const std::uint8_t> args);
   void send_envelope(const std::string& totem_group, const Envelope& env);
 
   // --- durability hooks ---
@@ -409,11 +417,11 @@ class Engine {
 
   // --- execution pooling ---
   /// A parked Execution re-armed for `id`, or a fresh one if the pool is
-  /// empty. Steady-state operations recycle the encoder, context and string
+  /// empty. Steady-state operations recycle the context and string
   /// allocations instead of heap-allocating per invocation.
   std::unique_ptr<Execution> acquire_execution(const OperationId& id);
-  /// Drops the execution's frame references (so it pins no slabs while
-  /// parked) and returns it to the pool.
+  /// Drops the execution's frame references and result Writer (so it pins
+  /// no slabs while parked) and returns it to the pool.
   void release_execution(std::unique_ptr<Execution> ex);
 
   // --- observability ---
@@ -457,6 +465,9 @@ class Engine {
   /// Scratch envelope for on_message/replay decode: strings reuse their
   /// capacity across deliveries (handlers copy what they keep).
   Envelope rx_env_;
+  /// Scratch header for frame_request: its context vector and operation
+  /// string keep their capacity, so framing a request allocates nothing.
+  giop::RequestHeader tx_request_;
 
   // Durability & recovery.
   dur::NodeDurability* durability_ = nullptr;
@@ -529,12 +540,12 @@ class Client {
   /// the GIOP reply body or rejects with the carried SystemException.
   /// Throws TRANSIENT (backpressure) when the send queue is full.
   Invocation invoke(const std::string& group, const std::string& op,
-                    cdr::Bytes args);
+                    std::span<const std::uint8_t> args);
 
   /// Drive the simulation until the reply arrives or `timeout` elapses
   /// (TIMEOUT system exception). For tests, examples and benches.
   cdr::Bytes invoke_blocking(const std::string& group, const std::string& op,
-                             cdr::Bytes args,
+                             std::span<const std::uint8_t> args,
                              sim::Time timeout = 5 * sim::kSecond);
 
   void set_retry_interval(sim::Time t) { retry_interval_ = t; }

@@ -16,9 +16,9 @@ std::string DivergenceReport::str() const {
 
 std::uint64_t digest_state(const Replica& replica,
                            std::uint64_t state_version) {
-  cdr::Encoder enc;
-  replica.get_state(enc);
-  const cdr::Bytes& bytes = enc.data();
+  cdr::Writer state;
+  replica.get_state(state);
+  const std::span<const std::uint8_t> bytes = state.written();
   const std::string_view view(reinterpret_cast<const char*>(bytes.data()),
                               bytes.size());
   return util::fnv1a(view, util::fnv1a_u64(state_version));

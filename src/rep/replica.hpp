@@ -15,13 +15,13 @@ namespace eternal::rep {
 class Replica : public orb::Servant {
  public:
   /// Serialise the full application state (tier 1 of the three-tier state).
-  virtual void get_state(cdr::Encoder& out) const = 0;
+  virtual void get_state(cdr::Writer& out) const = 0;
   /// Restore the full application state.
   virtual void set_state(cdr::Decoder& in) = 0;
 
   /// Produce the state update (postimage) after `op` executed. Default:
   /// full state. Override to ship incremental postimages.
-  virtual void get_update(const std::string& op, cdr::Encoder& out) const {
+  virtual void get_update(const std::string& op, cdr::Writer& out) const {
     (void)op;
     get_state(out);
   }

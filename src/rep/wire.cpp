@@ -86,12 +86,4 @@ Envelope decode_envelope(const cdr::WireBuf& frame) {
   return env;
 }
 
-Bytes encode(const Envelope& env) {
-  cdr::Arena arena;
-  cdr::Writer w(arena, env.giop.size() + env.update.size() +
-                           env.blob.size() + 256);
-  encode_envelope_into(w, env);
-  return w.seal().to_bytes();
-}
-
 }  // namespace eternal::rep

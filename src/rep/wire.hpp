@@ -85,8 +85,4 @@ Envelope decode_envelope(const cdr::WireBuf& frame);
 /// deliveries without per-packet rehydration.
 void decode_envelope_into(Envelope& env, const cdr::WireBuf& frame);
 
-/// Compat shim (tests, checkpoint tier-3 entries): the one Bytes round trip
-/// left on this surface. Delegates to the codecs above.
-Bytes encode(const Envelope& env);
-
 }  // namespace eternal::rep

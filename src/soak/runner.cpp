@@ -162,9 +162,9 @@ SoakResult SoakRunner::run(std::uint64_t seed) {
     // the occasional NO_FUNDS that still slips through is deliberate
     // coverage (a carried exception through a nested, replayed operation).
     for (const char* acct : {"soak-acct-a", "soak-acct-b"}) {
-      cdr::Encoder enc;
-      enc.put_longlong(1000);
-      domain.client(0).invoke_blocking(acct, "deposit", enc.take());
+      cdr::Writer arg;
+      arg.put_longlong(1000);
+      domain.client(0).invoke_blocking(acct, "deposit", arg.written());
     }
   }
 

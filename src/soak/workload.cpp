@@ -14,12 +14,6 @@ namespace {
 // the simulation's protocol stream (jitter, loss), and vice versa.
 constexpr std::uint64_t kWorkloadSalt = 0x776f726b6c6f6164ULL;  // "workload"
 
-cdr::Bytes incr_arg() {
-  cdr::Encoder enc;
-  enc.put_longlong(1);
-  return enc.take();
-}
-
 }  // namespace
 
 WorkloadGen::WorkloadGen(rep::Domain& domain, WorkloadParams params,
@@ -125,16 +119,17 @@ void WorkloadGen::fire(std::size_t i) {
         // an occasional NO_FUNDS still surfaces as a carried exception,
         // which is part of the point (exceptions through nested replay).
         const bool forward = rng_.chance(0.5);
-        cdr::Encoder enc;
-        enc.put_string(params_.nested_accounts[forward ? 0 : 1]);
-        enc.put_string(params_.nested_accounts[forward ? 1 : 0]);
-        enc.put_longlong(1);
-        return c.invoke(params_.nested_group, "transfer", enc.take());
+        cdr::Writer args;
+        args.put_string(params_.nested_accounts[forward ? 0 : 1]);
+        args.put_string(params_.nested_accounts[forward ? 1 : 0]);
+        args.put_longlong(1);
+        return c.invoke(params_.nested_group, "transfer", args.written());
       }
       const std::string& group = groups_[pick_group()];
-      const bool read = rng_.chance(params_.read_fraction);
-      return read ? c.invoke(group, "get", {})
-                  : c.invoke(group, "incr", incr_arg());
+      if (rng_.chance(params_.read_fraction)) return c.invoke(group, "get", {});
+      cdr::Writer arg;
+      arg.put_longlong(1);
+      return c.invoke(group, "incr", arg.written());
     }();
     ++in_flight_;
     const sim::Time sent = sim_.now();

@@ -713,7 +713,9 @@ void Node::enter_recovery(const CommitMsg& commit) {
         DataMsg wrap;
         wrap.origin = id_;
         wrap.flags = kFlagRecovery;
-        wrap.payload = encode_data(arena_, msg);
+        cdr::Writer w(arena_, msg.payload.size() + 128);
+        encode_data_into(w, msg);
+        wrap.payload = w.seal();
         wrap.old_ring = old_->id;
         wrap.old_seq = seq;
         recovery_pending_.push_back(std::move(wrap));

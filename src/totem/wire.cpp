@@ -151,12 +151,6 @@ void encode_data_into(cdr::Writer& w, const DataMsg& d) {
   }
 }
 
-cdr::WireBuf encode_data(cdr::Arena& arena, const DataMsg& d) {
-  cdr::Writer w(arena, d.payload.size() + 128);
-  encode_data_into(w, d);
-  return w.seal();
-}
-
 DataMsg decode_data_payload(const cdr::WireBuf& payload) {
   cdr::Decoder dec(payload);
   return decode_data_from(dec);
@@ -273,19 +267,6 @@ void decode_packet_into(Packet& pkt, const cdr::WireBuf& frame) {
       break;
     }
   }
-}
-
-Bytes encode(const Packet& pkt) {
-  cdr::Arena arena;
-  cdr::Writer w(arena);
-  encode_packet_into(w, pkt);
-  return w.seal().to_bytes();
-}
-
-Packet decode_packet(const Bytes& wire) {
-  Packet pkt;
-  decode_packet_into(pkt, cdr::WireBuf(wire));
-  return pkt;
 }
 
 }  // namespace eternal::totem

@@ -29,7 +29,6 @@
 namespace eternal::totem {
 
 using sim::NodeId;
-using cdr::Bytes;
 
 /// Identifies one ring configuration. epoch increases across every
 /// membership change anywhere in the system (carried through joins), so a
@@ -167,9 +166,8 @@ struct Packet {
   RingAnnounceMsg announce;
 };
 
-/// Encodes a packet into an open arena frame; the caller seals the Writer
-/// into the WireBuf it hands to the network. This is the hot-path surface:
-/// no intermediate Bytes, no second framing pass.
+/// Encodes a packet into an open arena frame in one pass; the caller seals
+/// the Writer into the WireBuf it hands to the network.
 void encode_packet_into(cdr::Writer& w, const Packet& pkt);
 
 /// Decodes a frame into `out`, reusing its vectors' and strings' capacity
@@ -180,12 +178,6 @@ void decode_packet_into(Packet& out, const cdr::WireBuf& frame);
 /// One Data message encoded standalone (recovery re-broadcast wraps the
 /// original frame as a payload).
 void encode_data_into(cdr::Writer& w, const DataMsg& d);
-cdr::WireBuf encode_data(cdr::Arena& arena, const DataMsg& d);
 DataMsg decode_data_payload(const cdr::WireBuf& payload);
-
-/// Compat shims (tests, cold callers): one Bytes round-trip kept outside
-/// the Writer surface. Both delegate to the *_into codecs above.
-Bytes encode(const Packet& pkt);
-Packet decode_packet(const Bytes& wire);
 
 }  // namespace eternal::totem

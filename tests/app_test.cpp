@@ -10,29 +10,29 @@ using orb::PlainContext;
 
 /// Run a sync operation directly on a servant (no infrastructure).
 cdr::Bytes call(rep::Replica& servant, const std::string& op,
-                const cdr::Bytes& args) {
+                std::span<const std::uint8_t> args) {
   PlainContext ctx(100, 1);
   cdr::Decoder in(args);
-  cdr::Encoder out;
+  cdr::Writer out;
   orb::Task t = servant.dispatch(op, ctx, in, out);
   EXPECT_TRUE(t.done());
   std::exception_ptr failure;
   t.on_complete([&](std::exception_ptr e) { failure = e; });
   if (failure) std::rethrow_exception(failure);
-  return out.take();
+  return out.seal().to_bytes();
 }
 
 cdr::Bytes i64(std::int64_t v) {
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_longlong(v);
-  return enc.take();
+  return enc.seal().to_bytes();
 }
 
 template <typename T>
 cdr::Bytes state_of(const T& servant) {
-  cdr::Encoder enc;
+  cdr::Writer enc;
   servant.get_state(enc);
-  return enc.take();
+  return enc.seal().to_bytes();
 }
 
 TEST(CounterServant, IncrSetGet) {
@@ -99,19 +99,19 @@ TEST(InventoryServant, StateRoundTrip) {
 
 TEST(KvServant, PutGetDel) {
   KvStore kv;
-  cdr::Encoder put;
+  cdr::Writer put;
   put.put_string("k");
   put.put_string("v");
-  call(kv, "put", put.take());
-  cdr::Encoder get;
+  call(kv, "put", put.written());
+  cdr::Writer get;
   get.put_string("k");
-  const cdr::Bytes r_bytes = call(kv, "get", get.take());
+  const cdr::Bytes r_bytes = call(kv, "get", get.written());
   cdr::Decoder r(r_bytes);
   EXPECT_TRUE(r.get_boolean());
   EXPECT_EQ(r.get_string(), "v");
-  cdr::Encoder del;
+  cdr::Writer del;
   del.put_string("k");
-  const cdr::Bytes d_bytes = call(kv, "del", del.take());
+  const cdr::Bytes d_bytes = call(kv, "del", del.written());
   cdr::Decoder d(d_bytes);
   EXPECT_TRUE(d.get_boolean());
   EXPECT_EQ(kv.size(), 0u);
@@ -121,25 +121,25 @@ TEST(KvServant, IncrementalUpdateShipsOnlyTouchedKey) {
   KvStore primary, backup;
   // Build identical base state.
   for (auto* kv : {&primary, &backup}) {
-    cdr::Encoder fill;
+    cdr::Writer fill;
     fill.put_ulonglong(100);
     fill.put_ulonglong(32);
-    call(*kv, "fill", fill.take());
+    call(*kv, "fill", fill.written());
   }
   // Mutate the primary; ship the postimage to the backup.
-  cdr::Encoder put;
+  cdr::Writer put;
   put.put_string("hot");
   put.put_string("new-value");
-  call(primary, "put", put.take());
+  call(primary, "put", put.written());
 
-  cdr::Encoder update;
+  cdr::Writer update;
   primary.get_update("put", update);
   // Incremental: far smaller than the full state.
-  cdr::Encoder full;
+  cdr::Writer full;
   primary.get_state(full);
   EXPECT_LT(update.size(), full.size() / 10);
 
-  cdr::Decoder dec(update.data());
+  cdr::Decoder dec(update.written());
   backup.apply_update("put", dec);
   EXPECT_EQ(backup.data(), primary.data());
 }
@@ -147,30 +147,30 @@ TEST(KvServant, IncrementalUpdateShipsOnlyTouchedKey) {
 TEST(KvServant, IncrementalDeleteUpdate) {
   KvStore primary, backup;
   for (auto* kv : {&primary, &backup}) {
-    cdr::Encoder put;
+    cdr::Writer put;
     put.put_string("k");
     put.put_string("v");
-    call(*kv, "put", put.take());
+    call(*kv, "put", put.written());
   }
-  cdr::Encoder del;
+  cdr::Writer del;
   del.put_string("k");
-  call(primary, "del", del.take());
-  cdr::Encoder update;
+  call(primary, "del", del.written());
+  cdr::Writer update;
   primary.get_update("del", update);
-  cdr::Decoder dec(update.data());
+  cdr::Decoder dec(update.written());
   backup.apply_update("del", dec);
   EXPECT_EQ(backup.size(), 0u);
 }
 
 TEST(KvServant, FillShipsFullState) {
   KvStore primary, backup;
-  cdr::Encoder fill;
+  cdr::Writer fill;
   fill.put_ulonglong(10);
   fill.put_ulonglong(8);
-  call(primary, "fill", fill.take());
-  cdr::Encoder update;
+  call(primary, "fill", fill.written());
+  cdr::Writer update;
   primary.get_update("fill", update);
-  cdr::Decoder dec(update.data());
+  cdr::Decoder dec(update.written());
   backup.apply_update("fill", dec);
   EXPECT_EQ(backup.data(), primary.data());
 }

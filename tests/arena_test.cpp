@@ -1,6 +1,6 @@
 // Ownership layer under the wire API: slab pooling, arena frame protocol,
-// WireBuf small-buffer threshold, Writer backpatch/encapsulation bytes vs
-// the classic Encoder, and borrow-decode lifetimes.
+// WireBuf small-buffer threshold, Writer backpatch/sequence bytes against
+// literal goldens, the Writer-owned arena, and borrow-decode lifetimes.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -154,28 +154,26 @@ TEST(Arena, OneFrameOpenAtATime) {
 }
 
 // ---------------------------------------------------------------------------
-// Writer vs Encoder golden bytes
+// Writer golden bytes
 // ---------------------------------------------------------------------------
 
-TEST(Writer, PrimitivesAndAlignmentMatchEncoder) {
-  Encoder enc;
-  enc.put_octet(7);
-  enc.put_ulong(0xDEADBEEF);  // 3 padding bytes
-  enc.put_octet(1);
-  enc.put_double(6.25);  // 7 padding bytes
-  enc.put_string("totem");
-  enc.put_ushort(99);
-
+TEST(Writer, PrimitivesAndAlignmentMatchGolden) {
+  if (!kHostLittleEndian) GTEST_SKIP() << "golden bytes are little-endian";
   Arena arena;
   Writer w(arena);
   w.put_octet(7);
-  w.put_ulong(0xDEADBEEF);
+  w.put_ulong(0xDEADBEEF);  // 3 padding bytes
   w.put_octet(1);
-  w.put_double(6.25);
+  w.put_double(6.25);  // 7 padding bytes
   w.put_string("totem");
   w.put_ushort(99);
 
-  EXPECT_EQ(w.seal().to_bytes(), enc.data());
+  const Bytes golden{0x07, 0,    0,    0,    0xef, 0xbe, 0xad, 0xde,
+                     0x01, 0,    0,    0,    0,    0,    0,    0,
+                     0,    0,    0,    0,    0,    0,    0x19, 0x40,
+                     0x06, 0,    0,    0,    't',  'o',  't',  'e',
+                     'm',  0,    0x63, 0};
+  EXPECT_EQ(w.seal().to_bytes(), golden);
 }
 
 TEST(Writer, ReserveAndPatchBackfillsALengthField) {
@@ -195,66 +193,79 @@ TEST(Writer, ReserveAndPatchBackfillsALengthField) {
   EXPECT_EQ(dec.get_string(), "payload bytes");
 }
 
-TEST(Writer, InPlaceEncapsulationMatchesEncoderEncapsulation) {
-  // Golden path: inner stream built separately, then embedded.
-  Encoder inner = Encoder::make_encapsulation();
-  inner.put_ulong(42);
-  inner.put_string("ctx");
-  Encoder enc;
-  enc.put_ulong(7);
-  enc.put_encapsulation(inner);
-  enc.put_octet(0xFF);
-
+TEST(Writer, InPlaceEncapsulationMatchesGolden) {
+  if (!kHostLittleEndian) GTEST_SKIP() << "golden bytes are little-endian";
   Arena arena;
   Writer w(arena);
   w.put_ulong(7);
-  w.begin_encapsulation();
+  w.begin_octet_seq();
+  w.put_boolean(kHostLittleEndian);
   w.put_ulong(42);
   w.put_string("ctx");
-  w.end_encapsulation();
+  EXPECT_EQ(w.end_octet_seq(), 16u);
   w.put_octet(0xFF);
 
-  EXPECT_EQ(w.seal().to_bytes(), enc.data());
+  const Bytes golden{0x07, 0, 0, 0, 0x10, 0, 0,   0,   0x01, 0, 0,
+                     0,    42, 0, 0, 0,    4, 0,   0,   0,    'c', 't',
+                     'x',  0,  0xFF};
+  EXPECT_EQ(w.seal().to_bytes(), golden);
 }
 
-TEST(Writer, NestedEncapsulationsMatchEncoder) {
-  Encoder innermost = Encoder::make_encapsulation();
-  innermost.put_double(2.5);
-  Encoder mid = Encoder::make_encapsulation();
-  mid.put_ulong(5);
-  mid.put_encapsulation(innermost);
-  Encoder enc;
-  enc.put_octet(1);  // shifts every nested origin off the frame origin
-  enc.put_encapsulation(mid);
-
+TEST(Writer, NestedEncapsulationsMatchGolden) {
+  if (!kHostLittleEndian) GTEST_SKIP() << "golden bytes are little-endian";
   Arena arena;
   Writer w(arena);
-  w.put_octet(1);
-  w.begin_encapsulation();
+  w.put_octet(1);  // shifts every nested origin off the frame origin
+  w.begin_octet_seq();
+  w.put_boolean(kHostLittleEndian);
   w.put_ulong(5);
-  w.begin_encapsulation();
+  w.begin_octet_seq();
+  w.put_boolean(kHostLittleEndian);
   w.put_double(2.5);
-  w.end_encapsulation();
-  w.end_encapsulation();
+  w.end_octet_seq();
+  w.end_octet_seq();
 
-  EXPECT_EQ(w.seal().to_bytes(), enc.data());
+  const Bytes golden{0x01, 0, 0, 0, 0x1c, 0, 0, 0, 0x01, 0, 0,    0,
+                     0x05, 0, 0, 0, 0x10, 0, 0, 0, 0x01, 0, 0,    0,
+                     0,    0, 0, 0, 0,    0, 0, 0, 0,    0, 0x04, 0x40};
+  EXPECT_EQ(w.seal().to_bytes(), golden);
 }
 
 TEST(Writer, MarkOriginRestartsAlignment) {
-  // GIOP framing: a 12-byte header, then the body aligned as a fresh stream.
-  Encoder body;
-  body.put_double(1.5);
-
+  if (!kHostLittleEndian) GTEST_SKIP() << "golden bytes are little-endian";
+  // GIOP framing: a 12-byte header, then the body aligned as a fresh stream
+  // (no padding before the double: offset 12 is the new origin).
   Arena arena;
   Writer w(arena);
   w.put_raw(pattern(12));
   w.mark_origin();
   w.put_double(1.5);
-  WireBuf frame = w.seal();
 
-  Bytes expect = pattern(12);
-  expect.insert(expect.end(), body.data().begin(), body.data().end());
-  EXPECT_EQ(frame.to_bytes(), expect);
+  Bytes golden = pattern(12);
+  golden.insert(golden.end(), {0, 0, 0, 0, 0, 0, 0xf8, 0x3f});
+  EXPECT_EQ(w.seal().to_bytes(), golden);
+}
+
+TEST(Writer, OwnsAnArenaWhenGivenNone) {
+  SlabPool& pool = SlabPool::global();
+  pool.trim();
+  const std::size_t live0 = pool.live();
+  WireBuf frame;
+  {
+    Writer w;
+    EXPECT_EQ(pool.live(), live0 + 1);  // one smallest-class slab
+    w.put_raw(pattern(5000));           // grows past the 4 KiB start
+    frame = w.seal();
+  }  // the Writer's arena dies; the sealed frame keeps its slab
+  EXPECT_EQ(pool.live(), live0 + 1);
+  EXPECT_EQ(frame.to_bytes(), pattern(5000));
+  frame = WireBuf();
+  EXPECT_EQ(pool.live(), live0);
+  {
+    Writer unsealed;
+    unsealed.put_ulong(1);
+  }  // abandoned: the slab goes straight back to the pool
+  EXPECT_EQ(pool.live(), live0);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,13 +312,14 @@ TEST(Decoder, BorrowedSliceKeepsTheFrameAlive) {
 TEST(Decoder, ViewsFromBytesDecoderStillCopy) {
   // Non-borrowing mode: a Decoder over plain Bytes has no frame to slice,
   // so get_octet_seq_buf must hand back an owning copy.
-  Encoder enc;
-  enc.put_octet_seq(pattern(512));
-  Decoder dec(enc.data());
+  Writer w;
+  w.put_octet_seq(pattern(512));
+  const Bytes bytes = w.seal().to_bytes();
+  Decoder dec(bytes);
   WireBuf body = dec.get_octet_seq_buf();
   EXPECT_EQ(body.to_bytes(), pattern(512));
-  EXPECT_TRUE(body.data() < enc.data().data() ||
-              body.data() >= enc.data().data() + enc.data().size());
+  EXPECT_TRUE(body.data() < bytes.data() ||
+              body.data() >= bytes.data() + bytes.size());
 }
 
 TEST(Decoder, GetStringViewBorrowsWithoutAllocating) {

@@ -6,7 +6,7 @@ namespace eternal::cdr {
 namespace {
 
 TEST(Cdr, PrimitiveRoundTrip) {
-  Encoder enc;
+  Writer enc;
   enc.put_octet(0xAB);
   enc.put_boolean(true);
   enc.put_char('x');
@@ -19,7 +19,7 @@ TEST(Cdr, PrimitiveRoundTrip) {
   enc.put_float(3.5f);
   enc.put_double(-2.25);
 
-  Decoder dec(enc.data());
+  Decoder dec(enc.written());
   EXPECT_EQ(dec.get_octet(), 0xAB);
   EXPECT_TRUE(dec.get_boolean());
   EXPECT_EQ(dec.get_char(), 'x');
@@ -35,7 +35,7 @@ TEST(Cdr, PrimitiveRoundTrip) {
 }
 
 TEST(Cdr, AlignmentRules) {
-  Encoder enc;
+  Writer enc;
   enc.put_octet(1);   // offset 0
   enc.put_ulong(7);   // pads to 4, value at 4..7
   EXPECT_EQ(enc.size(), 8u);
@@ -43,7 +43,7 @@ TEST(Cdr, AlignmentRules) {
   enc.put_double(1.5);  // pads to 16
   EXPECT_EQ(enc.size(), 24u);
 
-  Decoder dec(enc.data());
+  Decoder dec(enc.written());
   EXPECT_EQ(dec.get_octet(), 1);
   EXPECT_EQ(dec.get_ulong(), 7u);
   EXPECT_EQ(dec.get_octet(), 2);
@@ -51,73 +51,73 @@ TEST(Cdr, AlignmentRules) {
 }
 
 TEST(Cdr, StringRoundTrip) {
-  Encoder enc;
+  Writer enc;
   enc.put_string("hello world");
   enc.put_string("");
-  Decoder dec(enc.data());
+  Decoder dec(enc.written());
   EXPECT_EQ(dec.get_string(), "hello world");
   EXPECT_EQ(dec.get_string(), "");
 }
 
 TEST(Cdr, StringIncludesNulInLength) {
-  Encoder enc;
+  Writer enc;
   enc.put_string("ab");
   // ulong(3) + 'a' 'b' '\0'
   EXPECT_EQ(enc.size(), 7u);
-  EXPECT_EQ(enc.data()[0], 3u);
+  EXPECT_EQ(enc.written()[0], 3u);
 }
 
 TEST(Cdr, OctetSeqRoundTrip) {
   Bytes payload{1, 2, 3, 4, 5};
-  Encoder enc;
+  Writer enc;
   enc.put_octet_seq(payload);
-  Decoder dec(enc.data());
+  Decoder dec(enc.written());
   EXPECT_EQ(dec.get_octet_seq(), payload);
 }
 
 TEST(Cdr, EmptyOctetSeq) {
-  Encoder enc;
-  enc.put_octet_seq({});
-  Decoder dec(enc.data());
+  Writer enc;
+  enc.put_octet_seq(std::span<const std::uint8_t>{});
+  Decoder dec(enc.written());
   EXPECT_TRUE(dec.get_octet_seq().empty());
   EXPECT_TRUE(dec.exhausted());
 }
 
 TEST(Cdr, UnderflowThrows) {
-  Encoder enc;
+  Writer enc;
   enc.put_ulong(1);
-  Decoder dec(enc.data());
+  Decoder dec(enc.written());
   dec.get_ulong();
   EXPECT_THROW(dec.get_ulong(), MarshalError);
 }
 
 TEST(Cdr, MalformedStringThrows) {
-  Encoder enc;
+  Writer enc;
   enc.put_ulong(100);  // claims 100 bytes that are not there
-  Decoder dec(enc.data());
+  Decoder dec(enc.written());
   EXPECT_THROW(dec.get_string(), MarshalError);
 }
 
 TEST(Cdr, StringMissingNulThrows) {
-  Encoder enc;
+  Writer enc;
   enc.put_ulong(2);
   enc.put_octet('a');
   enc.put_octet('b');  // no NUL
-  Decoder dec(enc.data());
+  Decoder dec(enc.written());
   EXPECT_THROW(dec.get_string(), MarshalError);
 }
 
 TEST(Cdr, EncapsulationRoundTrip) {
-  Encoder inner = Encoder::make_encapsulation();
-  inner.put_ulong(0xDEADBEEF);
-  inner.put_string("enc");
-
-  Encoder outer;
+  Writer outer;
   outer.put_octet(9);
-  outer.put_encapsulation(inner);
+  outer.begin_octet_seq();
+  outer.put_boolean(kHostLittleEndian);
+  outer.put_ulong(0xDEADBEEF);
+  outer.put_string("enc");
+  outer.end_octet_seq();
   outer.put_ulong(77);
 
-  Decoder dec(outer.data());
+  Decoder dec(outer.written());
   EXPECT_EQ(dec.get_octet(), 9);
   Decoder in = dec.get_encapsulation();
   EXPECT_EQ(in.get_ulong(), 0xDEADBEEF);
@@ -129,14 +129,13 @@ TEST(Cdr, EncapsulationAlignmentIsSelfRelative) {
   // The flag octet is offset 0 of the encapsulation; a ulong inside must sit
   // at offset 4 regardless of the encapsulation's position in the outer
   // stream.
-  Encoder inner = Encoder::make_encapsulation();
-  inner.put_ulong(42);
-  EXPECT_EQ(inner.size(), 8u);  // flag + 3 pad + 4 value
-
-  Encoder outer;
+  Writer outer;
   outer.put_octet(0);  // shift the encapsulation to an odd outer offset
-  outer.put_encapsulation(inner);
-  Decoder dec(outer.data());
+  outer.begin_octet_seq();
+  outer.put_boolean(kHostLittleEndian);
+  outer.put_ulong(42);
+  EXPECT_EQ(outer.end_octet_seq(), 8u);  // flag + 3 pad + 4 value
+  Decoder dec(outer.written());
   dec.get_octet();
   Decoder in = dec.get_encapsulation();
   EXPECT_EQ(in.get_ulong(), 42u);
@@ -157,19 +156,12 @@ TEST(Cdr, ByteSwappedDecode) {
 
 TEST(Cdr, RawBytesRoundTrip) {
   Bytes raw{9, 8, 7};
-  Encoder enc;
+  Writer enc;
   enc.put_raw(raw);
-  Decoder dec(enc.data());
+  Decoder dec(enc.written());
   auto view = dec.get_raw(3);
   EXPECT_EQ(Bytes(view.begin(), view.end()), raw);
   EXPECT_THROW(dec.get_raw(1), MarshalError);
-}
-
-TEST(Cdr, TakeMovesBuffer) {
-  Encoder enc;
-  enc.put_ulong(5);
-  Bytes b = enc.take();
-  EXPECT_EQ(b.size(), 4u);
 }
 
 }  // namespace

@@ -33,13 +33,13 @@ class SaltedCounter : public rep::Replica {
  public:
   explicit SaltedCounter(std::int64_t salt) : salt_(salt) {
     op("incr", [this](orb::InvokerContext&, cdr::Decoder& in,
-                      cdr::Encoder& out) {
+                      cdr::Writer& out) {
       value_ += in.get_longlong() + salt_;
       out.put_longlong(value_);
     });
   }
 
-  void get_state(cdr::Encoder& out) const override {
+  void get_state(cdr::Writer& out) const override {
     out.put_longlong(value_);
   }
   void set_state(cdr::Decoder& in) override { value_ = in.get_longlong(); }
@@ -66,10 +66,10 @@ struct Cluster {
   void run_settle() { sim.run_for(kSecond); }
 
   std::int64_t incr(NodeId node, const std::string& group, std::int64_t d) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_longlong(d);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.take());
+        domain.client(node).invoke_blocking(group, "incr", enc.written());
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -148,10 +148,10 @@ TEST(Oracle, DigestStateSeparatesStateAndVersion) {
   Counter a, b;
   EXPECT_EQ(digest_state(a, 1), digest_state(b, 1));
   EXPECT_NE(digest_state(a, 1), digest_state(a, 2));  // version mixed in
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_longlong(42);
   enc.put_ulonglong(1);
-  cdr::Decoder dec(enc.data());
+  cdr::Decoder dec(enc.written());
   b.set_state(dec);
   EXPECT_NE(digest_state(a, 1), digest_state(b, 1));  // state differs
 }

@@ -85,9 +85,9 @@ TEST(Disk, ListIsSortedAndPrefixed) {
 
 TEST(Record, JournalRecordRoundTrip) {
   const JournalRecord in = make_record(42, "counter");
-  cdr::Encoder enc;
+  cdr::Writer enc;
   encode_journal_record_into(enc, in);
-  cdr::Decoder dec(enc.data());
+  cdr::Decoder dec(enc.written());
   const JournalRecord out = decode_journal_record(dec);
   EXPECT_EQ(out.index, in.index);
   EXPECT_EQ(out.carrier.epoch, in.carrier.epoch);
@@ -108,10 +108,10 @@ TEST(Record, CheckpointRecordRoundTrip) {
   in.position = 77;
   in.max_epoch = 5;
   in.client_next_op = 900;
-  in.blob = Bytes{1, 2, 3};
-  cdr::Encoder enc;
+  in.blob = cdr::WireBuf(Bytes{1, 2, 3});
+  cdr::Writer enc;
   encode_checkpoint_record_into(enc, in);
-  cdr::Decoder dec(enc.data());
+  cdr::Decoder dec(enc.written());
   const CheckpointRecord out = decode_checkpoint_record(dec);
   EXPECT_EQ(out.group, in.group);
   EXPECT_EQ(out.style, in.style);
@@ -124,10 +124,10 @@ TEST(Record, CheckpointRecordRoundTrip) {
 }
 
 TEST(Record, FrameRejectsCorruptPayload) {
-  cdr::Encoder enc;
+  cdr::Writer enc;
   encode_meta_record_into(enc, MetaRecord{3, 4});
   Bytes framed;
-  frame_append(framed, enc.data());
+  frame_append(framed, enc.written());
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(frame_parse(framed, 0, off, len));
   framed[framed.size() - 1] ^= 0xFF;  // flip a payload byte
@@ -273,7 +273,7 @@ CheckpointRecord make_checkpoint(const std::string& group,
   c.state_version = version;
   c.digest = version * 1000;
   c.position = pos;
-  c.blob = Bytes{static_cast<std::uint8_t>(version)};
+  c.blob = cdr::WireBuf(Bytes{static_cast<std::uint8_t>(version)});
   return c;
 }
 

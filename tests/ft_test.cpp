@@ -26,10 +26,10 @@ struct Cluster {
   }
 
   std::int64_t incr(NodeId node, const std::string& group, std::int64_t d) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_longlong(d);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.take());
+        domain.client(node).invoke_blocking(group, "incr", enc.written());
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }

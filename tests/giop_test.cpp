@@ -10,6 +10,20 @@ cdr::WireBuf key(std::string_view s) {
       reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
 }
 
+cdr::WireBuf request(const RequestHeader& hdr,
+                     std::span<const std::uint8_t> body = {}) {
+  cdr::Writer w;
+  encode_request_into(w, hdr, body);
+  return w.seal();
+}
+
+cdr::WireBuf reply(const ReplyHeader& hdr,
+                   std::span<const std::uint8_t> body = {}) {
+  cdr::Writer w;
+  encode_reply_into(w, hdr, body);
+  return w.seal();
+}
+
 TEST(Giop, RequestRoundTrip) {
   RequestHeader hdr;
   hdr.request_id = 42;
@@ -17,11 +31,10 @@ TEST(Giop, RequestRoundTrip) {
   hdr.object_key = key("group/counter");
   hdr.operation = "increment";
 
-  cdr::Encoder body;
+  cdr::Writer body;
   body.put_ulong(7);
 
-  Bytes wire = encode_request(hdr, body.data());
-  Message msg = decode(wire);
+  Message msg = decode(request(hdr, body.written()));
   ASSERT_EQ(msg.header.msg_type, MsgType::Request);
   ASSERT_TRUE(msg.request.has_value());
   EXPECT_EQ(*msg.request, hdr);
@@ -35,11 +48,10 @@ TEST(Giop, ReplyRoundTrip) {
   hdr.request_id = 99;
   hdr.reply_status = ReplyStatus::NoException;
 
-  cdr::Encoder body;
+  cdr::Writer body;
   body.put_string("result");
 
-  Bytes wire = encode_reply(hdr, body.data());
-  Message msg = decode(wire);
+  Message msg = decode(reply(hdr, body.written()));
   ASSERT_EQ(msg.header.msg_type, MsgType::Reply);
   ASSERT_TRUE(msg.reply.has_value());
   EXPECT_EQ(*msg.reply, hdr);
@@ -52,7 +64,7 @@ TEST(Giop, EmptyBody) {
   hdr.request_id = 1;
   hdr.object_key = key("k");
   hdr.operation = "ping";
-  Message msg = decode(encode_request(hdr, {}));
+  Message msg = decode(request(hdr));
   EXPECT_TRUE(msg.body.empty());
 }
 
@@ -64,9 +76,9 @@ TEST(Giop, BodyIsEightAligned) {
     hdr.request_id = 5;
     hdr.object_key = key("key");
     hdr.operation = op;
-    cdr::Encoder body;
+    cdr::Writer body;
     body.put_double(6.25);
-    Message msg = decode(encode_request(hdr, body.data()));
+    Message msg = decode(request(hdr, body.written()));
     cdr::Decoder dec(msg.body);
     EXPECT_DOUBLE_EQ(dec.get_double(), 6.25) << "op=" << op;
   }
@@ -92,7 +104,7 @@ TEST(Giop, ServiceContextsRoundTrip) {
       {static_cast<std::uint32_t>(ServiceId::FtGroupVersion),
        cdr::WireBuf(gv.encode())});
 
-  Message msg = decode(encode_request(hdr, {}));
+  Message msg = decode(request(hdr));
   ASSERT_TRUE(msg.request.has_value());
   const auto* ft_ctx =
       find_context(msg.request->service_contexts, ServiceId::FtRequest);
@@ -116,9 +128,9 @@ TEST(Giop, SystemExceptionBodyRoundTrip) {
   body.minor_code = 2;
   body.completion_status = 1;
 
-  cdr::Encoder enc;
+  cdr::Writer enc;
   body.encode(enc);
-  cdr::Decoder dec(enc.data());
+  cdr::Decoder dec(enc.written());
   EXPECT_EQ(SystemExceptionBody::decode(dec), body);
 }
 
@@ -126,43 +138,43 @@ TEST(Giop, BadMagicThrows) {
   RequestHeader hdr;
   hdr.object_key = key("k");
   hdr.operation = "op";
-  Bytes wire = encode_request(hdr, {});
+  cdr::Bytes wire = request(hdr).to_bytes();
   wire[0] = 'X';
-  EXPECT_THROW(decode(wire), cdr::MarshalError);
+  EXPECT_THROW(decode(cdr::WireBuf(wire)), cdr::MarshalError);
 }
 
 TEST(Giop, TruncatedThrows) {
   RequestHeader hdr;
   hdr.object_key = key("k");
   hdr.operation = "op";
-  Bytes wire = encode_request(hdr, {});
+  cdr::Bytes wire = request(hdr).to_bytes();
   wire.resize(wire.size() - 3);
-  EXPECT_THROW(decode(wire), cdr::MarshalError);
+  EXPECT_THROW(decode(cdr::WireBuf(wire)), cdr::MarshalError);
 }
 
 TEST(Giop, SizeMismatchThrows) {
   RequestHeader hdr;
   hdr.object_key = key("k");
   hdr.operation = "op";
-  Bytes wire = encode_request(hdr, {});
+  cdr::Bytes wire = request(hdr).to_bytes();
   wire.push_back(0);  // trailing garbage
-  EXPECT_THROW(decode(wire), cdr::MarshalError);
+  EXPECT_THROW(decode(cdr::WireBuf(wire)), cdr::MarshalError);
 }
 
 TEST(Giop, BadMessageTypeThrows) {
   RequestHeader hdr;
   hdr.object_key = key("k");
   hdr.operation = "op";
-  Bytes wire = encode_request(hdr, {});
+  cdr::Bytes wire = request(hdr).to_bytes();
   wire[7] = 0x42;  // message-type octet
-  EXPECT_THROW(decode(wire), cdr::MarshalError);
+  EXPECT_THROW(decode(cdr::WireBuf(wire)), cdr::MarshalError);
 }
 
 TEST(Giop, LocationForwardStatus) {
   ReplyHeader hdr;
   hdr.request_id = 12;
   hdr.reply_status = ReplyStatus::LocationForward;
-  Message msg = decode(encode_reply(hdr, {}));
+  Message msg = decode(reply(hdr));
   EXPECT_EQ(msg.reply->reply_status, ReplyStatus::LocationForward);
 }
 

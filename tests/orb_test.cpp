@@ -137,32 +137,32 @@ TEST(FutureTest, ThenAfterResolutionFiresImmediately) {
 
 struct TestServant : Servant {
   TestServant() {
-    op("double", [](InvokerContext&, cdr::Decoder& in, cdr::Encoder& out) {
+    op("double", [](InvokerContext&, cdr::Decoder& in, cdr::Writer& out) {
       out.put_longlong(in.get_longlong() * 2);
     });
-    read_op("peek", [](InvokerContext&, cdr::Decoder&, cdr::Encoder&) {});
+    read_op("peek", [](InvokerContext&, cdr::Decoder&, cdr::Writer&) {});
   }
 };
 
 TEST(ServantTest, DispatchRunsRegisteredOp) {
   TestServant servant;
   PlainContext ctx(0, 1);
-  cdr::Encoder args;
+  cdr::Writer args;
   args.put_longlong(21);
-  cdr::Decoder in(args.data());
-  cdr::Encoder out;
+  cdr::Decoder in(args.written());
+  cdr::Writer out;
   Task t = servant.dispatch("double", ctx, in, out);
   EXPECT_TRUE(t.done());
-  cdr::Decoder result(out.data());
+  cdr::Decoder result(out.written());
   EXPECT_EQ(result.get_longlong(), 42);
 }
 
 TEST(ServantTest, UnknownOpThrowsBadOperation) {
   TestServant servant;
   PlainContext ctx(0, 1);
-  cdr::Encoder empty;
-  cdr::Decoder in(empty.data());
-  cdr::Encoder out;
+  cdr::Writer empty;
+  cdr::Decoder in(empty.written());
+  cdr::Writer out;
   try {
     servant.dispatch("nope", ctx, in, out);
     FAIL();
@@ -195,24 +195,27 @@ TEST(PlainContextTest, NestedInvocationUnavailable) {
 // ---------------------------------------------------------------------------
 
 cdr::WireBuf make_request(const std::string& key, const std::string& op,
-                          const cdr::Bytes& body, std::uint32_t id = 1) {
+                          std::span<const std::uint8_t> body,
+                          std::uint32_t id = 1) {
   giop::RequestHeader hdr;
   hdr.request_id = id;
   hdr.object_key = cdr::WireBuf(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(key.data()), key.size()));
   hdr.operation = op;
-  return cdr::WireBuf(giop::encode_request(hdr, body));
+  cdr::Writer w;
+  giop::encode_request_into(w, hdr, body);
+  return w.seal();
 }
 
 TEST(Adapter, DispatchesToActivatedServant) {
   ObjectAdapter adapter;
   adapter.activate("svc", std::make_shared<TestServant>());
   PlainContext ctx(0, 1);
-  cdr::Encoder body;
+  cdr::Writer body;
   body.put_longlong(4);
   cdr::Arena arena;
   cdr::WireBuf reply_wire = adapter.handle_request_sync(
-      arena, make_request("svc", "double", body.data()), ctx);
+      arena, make_request("svc", "double", body.written()), ctx);
   giop::Message reply = giop::decode(reply_wire);
   ASSERT_EQ(reply.reply->reply_status, giop::ReplyStatus::NoException);
   const cdr::Bytes reply_body = parse_reply(reply);
@@ -260,11 +263,11 @@ TEST(Adapter, RequestIdEchoedInReply) {
   ObjectAdapter adapter;
   adapter.activate("svc", std::make_shared<TestServant>());
   PlainContext ctx(0, 1);
-  cdr::Encoder body;
+  cdr::Writer body;
   body.put_longlong(1);
   cdr::Arena arena;
   cdr::WireBuf reply_wire = adapter.handle_request_sync(
-      arena, make_request("svc", "double", body.data(), 777), ctx);
+      arena, make_request("svc", "double", body.written(), 777), ctx);
   EXPECT_EQ(giop::decode(reply_wire).reply->request_id, 777u);
 }
 
@@ -286,9 +289,9 @@ struct PlainFixture : ::testing::Test {
 };
 
 TEST_F(PlainFixture, RoundTrip) {
-  cdr::Encoder args;
+  cdr::Writer args;
   args.put_octet_seq(cdr::Bytes{1, 2, 3});
-  cdr::Bytes reply = client.invoke_blocking(0, "echo", "echo", args.take());
+  cdr::Bytes reply = client.invoke_blocking(0, "echo", "echo", args.written());
   cdr::Decoder dec(reply);
   EXPECT_EQ(dec.get_octet_seq(), (cdr::Bytes{1, 2, 3}));
 }
@@ -311,14 +314,14 @@ TEST_F(PlainFixture, TimesOutWhenServerCrashed) {
 
 TEST_F(PlainFixture, ConcurrentInvocationsMatchedByRequestId) {
   auto f1 = client.invoke(0, "echo", "echo", [&] {
-    cdr::Encoder e;
+    cdr::Writer e;
     e.put_octet_seq(cdr::Bytes{1});
-    return e.take();
+    return e.seal().to_bytes();
   }());
   auto f2 = client.invoke(0, "echo", "echo", [&] {
-    cdr::Encoder e;
+    cdr::Writer e;
     e.put_octet_seq(cdr::Bytes{2});
-    return e.take();
+    return e.seal().to_bytes();
   }());
   sim.run();
   ASSERT_TRUE(f1.ready());

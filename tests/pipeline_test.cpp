@@ -208,7 +208,7 @@ TEST(Pipeline, CancelAbandonsOnlyItsOwnOperation) {
 // ---------------------------------------------------------------------------
 
 totem::DataMsg data_msg(std::uint64_t seq, const std::string& group,
-                        totem::Bytes payload) {
+                        cdr::Bytes payload) {
   totem::DataMsg d;
   d.ring = totem::RingId{1, 0};
   d.origin = 2;
@@ -216,6 +216,18 @@ totem::DataMsg data_msg(std::uint64_t seq, const std::string& group,
   d.group = totem::group_buf(group);
   d.payload = cdr::WireBuf(payload);
   return d;
+}
+
+cdr::WireBuf frame(const totem::Packet& pkt) {
+  cdr::Writer w;
+  totem::encode_packet_into(w, pkt);
+  return w.seal();
+}
+
+totem::Packet round_trip(const totem::Packet& pkt) {
+  totem::Packet out;
+  totem::decode_packet_into(out, frame(pkt));
+  return out;
 }
 
 TEST(BatchWire, RoundTripsMultipleEnvelopes) {
@@ -228,7 +240,7 @@ TEST(BatchWire, RoundTripsMultipleEnvelopes) {
   pkt.batch.msgs.push_back(data_msg(12, "alpha", {9}));
   pkt.batch.msgs[1].flags = totem::kFlagControl;
 
-  const totem::Packet out = totem::decode_packet(totem::encode(pkt));
+  const totem::Packet out = round_trip(pkt);
   ASSERT_EQ(out.kind, totem::MsgKind::Batch);
   EXPECT_EQ(out.batch.ring, pkt.batch.ring);
   EXPECT_EQ(out.batch.origin, 3u);
@@ -260,14 +272,14 @@ TEST(BatchWire, TraceContextSurvivesBatchPacking) {
   pkt.batch.msgs.push_back(std::move(traced));
   pkt.batch.msgs.push_back(data_msg(12, "beta", {3}));
 
-  const totem::Packet out = totem::decode_packet(totem::encode(pkt));
+  const totem::Packet out = round_trip(pkt);
   ASSERT_EQ(out.batch.msgs.size(), 3u);
   EXPECT_EQ(out.batch.msgs[0].flags, 0);
   EXPECT_EQ(out.batch.msgs[0].trace_id, 0u);
   EXPECT_EQ(out.batch.msgs[1].flags, totem::kFlagTraced);
   EXPECT_EQ(out.batch.msgs[1].trace_id, 0xDEADBEEFu);
   EXPECT_EQ(out.batch.msgs[1].parent_span, 42u);
-  EXPECT_EQ(out.batch.msgs[1].payload, cdr::WireBuf(totem::Bytes{2}));
+  EXPECT_EQ(out.batch.msgs[1].payload, cdr::WireBuf(cdr::Bytes{2}));
   EXPECT_EQ(out.batch.msgs[2].trace_id, 0u);
 }
 
@@ -278,7 +290,7 @@ TEST(BatchWire, TraceContextSurvivesPlainDataFrame) {
   pkt.data.flags = totem::kFlagTraced;
   pkt.data.trace_id = 0xABCD;
   pkt.data.parent_span = 7;
-  const totem::Packet out = totem::decode_packet(totem::encode(pkt));
+  const totem::Packet out = round_trip(pkt);
   ASSERT_EQ(out.kind, totem::MsgKind::Data);
   EXPECT_EQ(out.data.trace_id, 0xABCDu);
   EXPECT_EQ(out.data.parent_span, 7u);
@@ -288,8 +300,8 @@ TEST(BatchWire, TraceContextSurvivesPlainDataFrame) {
   totem::Packet plain;
   plain.kind = totem::MsgKind::Data;
   plain.data = data_msg(6, "g", {1});
-  EXPECT_LT(totem::encode(plain).size(), totem::encode(pkt).size());
-  EXPECT_EQ(totem::decode_packet(totem::encode(plain)).data.trace_id, 0u);
+  EXPECT_LT(frame(plain).size(), frame(pkt).size());
+  EXPECT_EQ(round_trip(plain).data.trace_id, 0u);
 }
 
 TEST(BatchWire, RejectsRecoveryFlaggedEnvelope) {
@@ -300,8 +312,8 @@ TEST(BatchWire, RejectsRecoveryFlaggedEnvelope) {
   auto d = data_msg(5, "g", {1});
   d.flags = totem::kFlagRecovery;  // recovery rebroadcasts are never batched
   pkt.batch.msgs.push_back(std::move(d));
-  const totem::Bytes wire = totem::encode(pkt);
-  EXPECT_THROW(totem::decode_packet(wire), cdr::MarshalError);
+  totem::Packet out;
+  EXPECT_THROW(totem::decode_packet_into(out, frame(pkt)), cdr::MarshalError);
 }
 
 // ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ struct Cluster {
   }
 
   std::int64_t incr(NodeId node) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_longlong(1);
     cdr::Bytes out = domain.client(node).invoke_blocking(
-        "ctr", "incr", enc.take(), 30 * kSecond);
+        "ctr", "incr", enc.written(), 30 * kSecond);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -47,9 +47,9 @@ struct Cluster {
   cdr::Bytes state_of(NodeId node, const std::string& group) {
     auto r = domain.engine(node).local_replica(group);
     if (!r) return {};
-    cdr::Encoder enc;
+    cdr::Writer enc;
     r->get_state(enc);
-    return enc.take();
+    return enc.seal().to_bytes();
   }
 
   sim::Simulation sim;
@@ -190,18 +190,18 @@ TEST_P(TransferChaos, MoneyIsConserved) {
                             {3, 4});
   ASSERT_TRUE(c.converge());
 
-  cdr::Encoder dep;
+  cdr::Writer dep;
   dep.put_longlong(1000);
-  c.domain.client(5).invoke_blocking("acct.a", "deposit", dep.take());
+  c.domain.client(5).invoke_blocking("acct.a", "deposit", dep.written());
 
   bool crashed = false;
   int transfers_done = 0;
   for (int i = 0; i < 8; ++i) {
-    cdr::Encoder args;
+    cdr::Writer args;
     args.put_string("acct.a");
     args.put_string("acct.b");
     args.put_longlong(10);
-    auto fut = c.domain.client(5).invoke("teller", "transfer", args.take());
+    auto fut = c.domain.client(5).invoke("teller", "transfer", args.written());
     // Occasionally crash a teller replica mid-chain (once per run).
     if (!crashed && rng.chance(0.4)) {
       c.sim.run_for(rng.below(1500));

@@ -45,10 +45,10 @@ struct DurableCluster {
   }
 
   std::int64_t incr(NodeId node, const std::string& group, std::int64_t d) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_longlong(d);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.take());
+        domain.client(node).invoke_blocking(group, "incr", enc.written());
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -167,10 +167,10 @@ TEST(Recovery, RetryStraddlingRestartStaysExactlyOnce) {
   // Fire one op from the surviving client node and stop the world the
   // moment a server has executed it — before the reply reaches the client.
   c.domain.client(3).set_retry_interval(100 * kMillisecond);
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_longlong(1);
   rep::Invocation inv =
-      c.domain.client(3).invoke("counter", "incr", enc.take());
+      c.domain.client(3).invoke("counter", "incr", enc.written());
   while (c.domain.engine(0).stats().invocations_executed == 0) {
     ASSERT_TRUE(c.sim.step()) << "ran dry before the op executed";
   }
@@ -273,16 +273,16 @@ TEST(Recovery, NestedOperationsRecoverConsistently) {
   ASSERT_TRUE(c.converge());
 
   {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_longlong(1000);
-    c.domain.client(0).invoke_blocking("alice", "deposit", enc.take());
+    c.domain.client(0).invoke_blocking("alice", "deposit", enc.written());
   }
   for (int i = 0; i < 4; ++i) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_string("alice");
     enc.put_string("bob");
     enc.put_longlong(50);
-    c.domain.client(0).invoke_blocking("teller", "transfer", enc.take());
+    c.domain.client(0).invoke_blocking("teller", "transfer", enc.written());
   }
   c.plane.sync_all();
   c.kill({0, 1, 2}, /*torn=*/false);

@@ -46,10 +46,10 @@ struct Cluster {
   std::int64_t invoke_i64(NodeId node, const std::string& group,
                           const std::string& op, std::int64_t arg,
                           sim::Time timeout = 5 * kSecond) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_longlong(arg);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, op, enc.take(), timeout);
+        domain.client(node).invoke_blocking(group, op, enc.written(), timeout);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -146,10 +146,10 @@ TEST(Active, InvocationDuringMembershipChangeIsNotLost) {
   c.domain.host_on<Counter>(cfg("ctr", Style::Active), {0, 1, 2});
   ASSERT_TRUE(c.converge());
   auto fut = [&] {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_longlong(1);
     return c.domain.client(3).invoke(
-        "ctr", "incr", enc.take());
+        "ctr", "incr", enc.written());
   }();
   c.run(200);          // invocation possibly in flight
   c.fabric.crash(2);   // membership change mid-operation
@@ -198,9 +198,9 @@ TEST(WarmPassive, InFlightOperationSurvivesPrimaryCrash) {
   Cluster c(4, /*seed=*/5);
   c.domain.host_on<Counter>(cfg("ctr", Style::WarmPassive), {0, 1, 2});
   ASSERT_TRUE(c.converge());
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_longlong(3);
-  auto fut = c.domain.client(3).invoke("ctr", "incr", enc.take());
+  auto fut = c.domain.client(3).invoke("ctr", "incr", enc.written());
   c.run(200);         // the invocation is ordered but likely unanswered
   c.fabric.crash(0);  // primary dies
   c.run(3 * kSecond);
@@ -256,10 +256,10 @@ TEST(StateTransfer, LargeStateInChunks) {
   Cluster c(3, 1, ep);
   c.domain.host_on<KvStore>(cfg("kv", Style::Active), {0, 1});
   ASSERT_TRUE(c.converge());
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_ulonglong(500);
   enc.put_ulonglong(100);
-  c.domain.client(2).invoke_blocking("kv", "fill", enc.take());
+  c.domain.client(2).invoke_blocking("kv", "fill", enc.written());
   c.run(kSecond);
 
   c.domain.engine(2).host(cfg("kv", Style::Active),
@@ -307,12 +307,12 @@ TEST(StateTransfer, SnapshotWaitsForSuspendedNestedExecution) {
   constexpr int kTransfers = 8;
   std::vector<Invocation> futs;
   for (int i = 0; i < kTransfers; ++i) {
-    cdr::Encoder enc;
+    cdr::Writer enc;
     enc.put_string("acct.a");
     enc.put_string("acct.b");
     enc.put_longlong(10);
     futs.push_back(
-        c.domain.client(5).invoke("teller", "transfer", enc.take()));
+        c.domain.client(5).invoke("teller", "transfer", enc.written()));
     c.run(kMillisecond);
   }
   c.domain.engine(2).host(cfg("teller", Style::Active),
@@ -367,12 +367,12 @@ TEST_P(NestedSweep, TransferAcrossGroups) {
 
   c.invoke_i64(0, "acct.a", "deposit", 100);
 
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_string("acct.a");
   enc.put_string("acct.b");
   enc.put_longlong(30);
   cdr::Bytes out =
-      c.domain.client(4).invoke_blocking("teller", "transfer", enc.take());
+      c.domain.client(4).invoke_blocking("teller", "transfer", enc.written());
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 30);  // destination balance
 
@@ -407,12 +407,12 @@ TEST(Nested, UserExceptionPropagatesThroughChain) {
   c.domain.host_on<Account>(cfg("acct.b", Style::Active), {3});
   ASSERT_TRUE(c.converge());
 
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_string("acct.a");
   enc.put_string("acct.b");
   enc.put_longlong(50);  // overdraft: acct.a is empty
   try {
-    c.domain.client(3).invoke_blocking("teller", "transfer", enc.take());
+    c.domain.client(3).invoke_blocking("teller", "transfer", enc.written());
     FAIL() << "expected NO_FUNDS";
   } catch (const orb::SystemException& e) {
     EXPECT_NE(e.exception_id().find("NO_FUNDS"), std::string::npos);
@@ -432,11 +432,11 @@ TEST(Nested, PassivePrimaryCrashReinvokesUnderSameOperationId) {
   ASSERT_TRUE(c.converge());
   c.invoke_i64(4, "acct.a", "deposit", 100);
 
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_string("acct.a");
   enc.put_string("acct.b");
   enc.put_longlong(10);
-  auto fut = c.domain.client(4).invoke("teller", "transfer", enc.take());
+  auto fut = c.domain.client(4).invoke("teller", "transfer", enc.written());
   c.run(1200);        // teller primary has (likely) issued the withdraw
   c.fabric.crash(0);  // teller primary dies mid-chain
   c.run(5 * kSecond);
@@ -462,11 +462,11 @@ TEST(Duplicates, SenderSideSuppressionSavesMulticasts) {
     if (!c.converge()) return std::pair<std::uint64_t, std::uint64_t>{0, 0};
     c.invoke_i64(5, "acct.a", "deposit", 1000);
     for (int i = 0; i < 5; ++i) {
-      cdr::Encoder enc;
+      cdr::Writer enc;
       enc.put_string("acct.a");
       enc.put_string("acct.b");
       enc.put_longlong(1);
-      c.domain.client(5).invoke_blocking("teller", "transfer", enc.take());
+      c.domain.client(5).invoke_blocking("teller", "transfer", enc.written());
     }
     c.run(kSecond);
     const std::uint64_t suppressed =
@@ -492,11 +492,11 @@ TEST(Duplicates, ReceiverSideCollapsesUnsuppressedCopies) {
   ASSERT_TRUE(c.converge());
   c.invoke_i64(5, "acct.a", "deposit", 100);
 
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_string("acct.a");
   enc.put_string("acct.b");
   enc.put_longlong(30);
-  c.domain.client(5).invoke_blocking("teller", "transfer", enc.take());
+  c.domain.client(5).invoke_blocking("teller", "transfer", enc.written());
   c.run(kSecond);
   // Three teller replicas each multicast the nested withdraw; the account
   // replicas executed it exactly once.
@@ -520,12 +520,13 @@ TEST(Determinism, TimeAndRandomIdenticalAcrossReplicas) {
     c.domain.client(3).invoke_blocking("probe", "sample", {});
   }
   c.run(kSecond);
-  cdr::Encoder s0, s1, s2;
+  cdr::Writer s0, s1, s2;
   c.replica<NondetProbe>(0, "probe")->get_state(s0);
   c.replica<NondetProbe>(1, "probe")->get_state(s1);
   c.replica<NondetProbe>(2, "probe")->get_state(s2);
-  EXPECT_EQ(s0.data(), s1.data());
-  EXPECT_EQ(s0.data(), s2.data());
+  const cdr::WireBuf state0 = s0.seal();
+  EXPECT_EQ(state0, s1.seal());
+  EXPECT_EQ(state0, s2.seal());
 }
 
 // ---------------------------------------------------------------------------

@@ -44,6 +44,12 @@ TEST(Ids, StrIsReadable) {
 // Envelope wire format
 // ---------------------------------------------------------------------------
 
+cdr::WireBuf frame(const Envelope& env) {
+  cdr::Writer w;
+  encode_envelope_into(w, env);
+  return w.seal();
+}
+
 Envelope sample_invocation() {
   Envelope env;
   env.kind = Kind::Invocation;
@@ -59,7 +65,7 @@ Envelope sample_invocation() {
 
 TEST(Wire, InvocationRoundTrip) {
   const Envelope env = sample_invocation();
-  const Envelope out = decode_envelope(cdr::WireBuf(encode(env)));
+  const Envelope out = decode_envelope(frame(env));
   EXPECT_EQ(out.kind, Kind::Invocation);
   EXPECT_EQ(out.op_id, env.op_id);
   EXPECT_EQ(out.target_group, env.target_group);
@@ -79,7 +85,7 @@ TEST(Wire, StateUpdateRoundTrip) {
   env.state_version = 41;
   env.operation = "put";
   env.update = cdr::WireBuf(Bytes{9, 9, 9});
-  const Envelope out = decode_envelope(cdr::WireBuf(encode(env)));
+  const Envelope out = decode_envelope(frame(env));
   EXPECT_EQ(out.kind, Kind::StateUpdate);
   EXPECT_EQ(out.state_version, 41u);
   EXPECT_EQ(out.operation, "put");
@@ -93,7 +99,7 @@ TEST(Wire, JoinAndSnapshotFieldsRoundTrip) {
   env.node = 3;
   env.round = 5;
   env.has_history = true;
-  Envelope out = decode_envelope(cdr::WireBuf(encode(env)));
+  Envelope out = decode_envelope(frame(env));
   EXPECT_EQ(out.kind, Kind::JoinRequest);
   EXPECT_EQ(out.node, 3u);
   EXPECT_EQ(out.round, 5u);
@@ -103,7 +109,7 @@ TEST(Wire, JoinAndSnapshotFieldsRoundTrip) {
   env.chunk_index = 2;
   env.chunk_count = 7;
   env.blob = cdr::WireBuf(Bytes(100, 0xAA));
-  out = decode_envelope(cdr::WireBuf(encode(env)));
+  out = decode_envelope(frame(env));
   EXPECT_EQ(out.kind, Kind::Snapshot);
   EXPECT_EQ(out.chunk_index, 2u);
   EXPECT_EQ(out.chunk_count, 7u);
@@ -114,7 +120,7 @@ TEST(Wire, TraceContextRoundTripsWhenPresent) {
   Envelope env = sample_invocation();
   env.trace_id = 0xFEEDFACE12345678ull;
   env.parent_span = 99;
-  const Envelope out = decode_envelope(cdr::WireBuf(encode(env)));
+  const Envelope out = decode_envelope(frame(env));
   EXPECT_EQ(out.trace_id, env.trace_id);
   EXPECT_EQ(out.parent_span, env.parent_span);
   EXPECT_EQ(out.ctx(), env.ctx());
@@ -124,23 +130,23 @@ TEST(Wire, UntracedEnvelopePaysOneFlagByte) {
   const Envelope plain = sample_invocation();
   Envelope traced = sample_invocation();
   traced.trace_id = 1;
-  const Envelope out = decode_envelope(cdr::WireBuf(encode(plain)));
+  const Envelope out = decode_envelope(frame(plain));
   EXPECT_EQ(out.trace_id, 0u);
   EXPECT_EQ(out.parent_span, 0u);
   EXPECT_FALSE(out.ctx().traced());
   // Tracing off costs a single boolean on the wire; the two u64 context
   // fields are only encoded when a context is present.
-  EXPECT_LT(encode(plain).size(), encode(traced).size());
+  EXPECT_LT(frame(plain).size(), frame(traced).size());
 }
 
 TEST(Wire, BadKindThrows) {
-  Bytes wire = encode(sample_invocation());
+  Bytes wire = frame(sample_invocation()).to_bytes();
   wire[0] = 99;
   EXPECT_THROW(decode_envelope(cdr::WireBuf(wire)), cdr::MarshalError);
 }
 
 TEST(Wire, TruncatedThrows) {
-  Bytes wire = encode(sample_invocation());
+  Bytes wire = frame(sample_invocation()).to_bytes();
   wire.resize(wire.size() / 2);
   EXPECT_THROW(decode_envelope(cdr::WireBuf(wire)), cdr::MarshalError);
 }
@@ -171,9 +177,10 @@ TEST_F(Edge, UnknownOperationReturnsBadOperationThroughTheStack) {
     EXPECT_NE(e.exception_id().find("BAD_OPERATION"), std::string::npos);
   }
   // The failed operation did not corrupt subsequent service.
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_longlong(1);
-  cdr::Bytes out = domain.client(3).invoke_blocking("ctr", "incr", enc.take());
+  cdr::Bytes out =
+      domain.client(3).invoke_blocking("ctr", "incr", enc.written());
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 1);
 }
@@ -199,17 +206,17 @@ TEST_F(Edge, MalformedArgumentsYieldMarshalException) {
 TEST_F(Edge, UnhostedGroupStopsServingLocally) {
   domain.host_on<app::Counter>(GroupConfig{"ctr", Style::Active}, {0, 1});
   sim.run_for(kSecond);
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_longlong(1);
-  domain.client(3).invoke_blocking("ctr", "incr", enc.take());
+  domain.client(3).invoke_blocking("ctr", "incr", enc.written());
   domain.engine(0).unhost("ctr");
   EXPECT_FALSE(domain.engine(0).hosts("ctr"));
   sim.run_for(kSecond);
   // Remaining replica serves on.
-  cdr::Encoder enc2;
+  cdr::Writer enc2;
   enc2.put_longlong(1);
   cdr::Bytes out =
-      domain.client(3).invoke_blocking("ctr", "incr", enc2.take());
+      domain.client(3).invoke_blocking("ctr", "incr", enc2.written());
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 2);
 }
@@ -218,9 +225,9 @@ TEST_F(Edge, TwoGroupsSameServantTypeAreIndependent) {
   domain.host_on<app::Counter>(GroupConfig{"a", Style::Active}, {0});
   domain.host_on<app::Counter>(GroupConfig{"b", Style::Active}, {0});
   sim.run_for(kSecond);
-  cdr::Encoder enc;
+  cdr::Writer enc;
   enc.put_longlong(5);
-  domain.client(3).invoke_blocking("a", "incr", enc.take());
+  domain.client(3).invoke_blocking("a", "incr", enc.written());
   cdr::Bytes out = domain.client(3).invoke_blocking("b", "get", {});
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 0);  // group b untouched
@@ -230,11 +237,10 @@ TEST_F(Edge, ClientOpIdsAreUniquePerNode) {
   domain.host_on<app::Counter>(GroupConfig{"ctr", Style::Active}, {0});
   sim.run_for(kSecond);
   // Two clients on different nodes interleave; both see exactly-once.
-  cdr::Encoder e1, e2;
-  e1.put_longlong(1);
-  e2.put_longlong(1);
-  auto f1 = domain.client(2).invoke("ctr", "incr", e1.take());
-  auto f2 = domain.client(3).invoke("ctr", "incr", e2.take());
+  cdr::Writer arg;
+  arg.put_longlong(1);
+  auto f1 = domain.client(2).invoke("ctr", "incr", arg.written());
+  auto f2 = domain.client(3).invoke("ctr", "incr", arg.written());
   sim.run_for(2 * kSecond);
   ASSERT_TRUE(f1.ready());
   ASSERT_TRUE(f2.ready());
