@@ -47,14 +47,15 @@ Result measure(bool suppression, int transfers) {
   Result r{};
   r.multicasts = c.net.stats().multicasts_sent;
   r.bytes = c.net.stats().bytes_sent;
-  r.suppressed = c.domain.total([](const rep::EngineStats& s) {
-    return s.sends_suppressed + s.responses_suppressed;
+  r.suppressed = c.domain.total([](const rep::EngineCounters& s) {
+    return s.sends_suppressed.value() + s.responses_suppressed.value();
   });
-  r.dups_dropped = c.domain.total([](const rep::EngineStats& s) {
-    return s.duplicate_invocations_dropped + s.duplicate_replies_resent;
+  r.dups_dropped = c.domain.total([](const rep::EngineCounters& s) {
+    return s.duplicate_invocations_dropped.value() +
+           s.duplicate_replies_resent.value();
   });
   // acct.a executions only (withdraws): both replicas, exactly-once each.
-  r.executions = c.domain.engine(3).stats().invocations_executed;
+  r.executions = c.domain.engine(3).stats().invocations_executed.value();
   return r;
 }
 

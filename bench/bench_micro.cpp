@@ -119,17 +119,6 @@ void BM_ObsCounterInc(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsCounterInc);
 
-void BM_ObsHistogramObserve(benchmark::State& state) {
-  obs::Histogram& h = obs::Registry::global().histogram(
-      "bench.histogram_observe", 0.0, 10000.0, 50);
-  double v = 0.0;
-  for (auto _ : state) {
-    h.observe(v);
-    v = v < 9999.0 ? v + 17.0 : 0.0;
-  }
-}
-BENCHMARK(BM_ObsHistogramObserve);
-
 // The per-message cost of tracing when it is switched off: the guard the
 // engine's hot path pays on every envelope must stay a single branch.
 void BM_ObsTraceDisabledGuard(benchmark::State& state) {

@@ -61,7 +61,7 @@ Result measure(int secondary_ops, std::uint64_t seed) {
   r.secondary_lat_us = sec_lat.mean();
   r.reconcile_ms =
       static_cast<double>(c.sim.now() - heal_at) / sim::kMillisecond;
-  r.replayed = c.domain.engine(4).stats().fulfillment_replayed;
+  r.replayed = c.domain.engine(4).stats().fulfillment_replayed.value();
   return r;
 }
 

@@ -47,7 +47,7 @@ dur::RecoveryStats measure(int ops, std::uint64_t interval) {
   c.settle();
 
   for (int i = 0; i < ops; ++i) {
-    c.domain.client(0).invoke_blocking("ctr", "incr", i64_arg(1));
+    c.domain.client(0).invoke("ctr", "incr", i64_arg(1)).get();
   }
   plane.sync_all();
   for (sim::NodeId n : {0u, 1u, 2u}) {

@@ -35,8 +35,9 @@ int main() {
     cdr::Writer fill;
     fill.put_ulonglong(entries);
     fill.put_ulonglong(64);
-    c.domain.client(2).invoke_blocking("kv", "fill", fill.written(),
-                                       60 * sim::kSecond);
+    c.domain.client(2)
+        .invoke("kv", "fill", fill.written())
+        .get(60 * sim::kSecond);
     for (int i = 0; i < 32; ++i) {
       cdr::Writer put;
       put.put_string("k" + std::to_string(i));
@@ -71,7 +72,7 @@ int main() {
                 "tiers 2+3)\n",
                 static_cast<long long>(replica->value()),
                 static_cast<unsigned long long>(
-                    c.domain.engine(2).stats().invocations_executed));
+                    c.domain.engine(2).stats().invocations_executed.value()));
   }
   std::puts("shape check: tier-2 ORB state dominates the checkpoint as the "
             "operation history grows — transferring application state alone "

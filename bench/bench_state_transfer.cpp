@@ -33,8 +33,9 @@ Result measure(std::size_t entries, std::uint32_t chunk_bytes) {
   cdr::Writer fill;
   fill.put_ulonglong(entries);
   fill.put_ulonglong(64);  // 64-byte values
-  c.domain.client(3).invoke_blocking("kv", "fill", fill.written(),
-                                     60 * sim::kSecond);
+  c.domain.client(3)
+      .invoke("kv", "fill", fill.written())
+      .get(60 * sim::kSecond);
   c.settle();
   const std::size_t state_bytes =
       c.domain.engine(0).checkpoint_sizes("kv").application;

@@ -59,7 +59,7 @@ Point measure(std::size_t replicas, int outstanding, std::uint32_t max_batch,
   for (int i = 0; i < 5; ++i) ctr.call<std::int64_t>("incr", std::int64_t{1});
 
   const std::uint64_t visits0 =
-      c.fabric.node(client).stats().token_visits;
+      c.fabric.node(client).stats().token_visits.value();
   const sim::Time start = c.sim.now();
   AllocWindow aw;
 
@@ -101,11 +101,11 @@ Point measure(std::size_t replicas, int outstanding, std::uint32_t max_batch,
   }
 
   const std::uint64_t visits1 =
-      c.fabric.node(client).stats().token_visits;
+      c.fabric.node(client).stats().token_visits.value();
   std::uint64_t batch_frames = 0;
   for (std::size_t n = 0; n < c.fabric.size(); ++n) {
-    batch_frames +=
-        c.fabric.node(static_cast<totem::NodeId>(n)).stats().batch_frames;
+    const auto id = static_cast<totem::NodeId>(n);
+    batch_frames += c.fabric.node(id).stats().batch_frames.value();
   }
   const double elapsed_s =
       static_cast<double>(c.sim.now() - start) / sim::kSecond;

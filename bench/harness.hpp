@@ -93,7 +93,7 @@ struct FtCluster {
                        const std::string& op,
                        std::span<const std::uint8_t> args) {
     const sim::Time start = sim.now();
-    domain.client(node).invoke_blocking(group, op, args, 30 * sim::kSecond);
+    domain.client(node).invoke(group, op, args).get(30 * sim::kSecond);
     return sim.now() - start;
   }
 

@@ -15,13 +15,6 @@ constexpr std::uint64_t kClientOpMargin = 1ULL << 16;
 
 constexpr std::uint8_t kKindInvocation = 1;  // rep::Kind::Invocation
 
-obs::Counter& ctr(const char* metric, sim::NodeId node) {
-  auto& c = obs::Registry::global().counter(
-      obs::node_metric("dur", metric, node));
-  c.reset();
-  return c;
-}
-
 }  // namespace
 
 NodeDurability::NodeDurability(sim::Simulation& sim, sim::Disk& disk,
@@ -32,16 +25,16 @@ NodeDurability::NodeDurability(sim::Simulation& sim, sim::Disk& disk,
       params_(params),
       journal_(disk),
       checkpoints_(disk),
-      appends_(ctr("journal_appends", node)),
-      append_bytes_(ctr("journal_bytes", node)),
-      append_failures_(ctr("append_failures", node)),
-      syncs_(ctr("journal_syncs", node)),
-      checkpoints_cut_(ctr("checkpoints_cut", node)),
-      compacted_bytes_(ctr("compacted_bytes", node)),
-      recoveries_(ctr("recoveries", node)),
-      replayed_(ctr("records_replayed", node)),
-      fallbacks_(ctr("checkpoint_fallbacks", node)),
-      tail_lost_(ctr("tail_lost_bytes", node)) {}
+      appends_(obs::fresh_counter("dur", "journal_appends", node)),
+      append_bytes_(obs::fresh_counter("dur", "journal_bytes", node)),
+      append_failures_(obs::fresh_counter("dur", "append_failures", node)),
+      syncs_(obs::fresh_counter("dur", "journal_syncs", node)),
+      checkpoints_cut_(obs::fresh_counter("dur", "checkpoints_cut", node)),
+      compacted_bytes_(obs::fresh_counter("dur", "compacted_bytes", node)),
+      recoveries_(obs::fresh_counter("dur", "recoveries", node)),
+      replayed_(obs::fresh_counter("dur", "records_replayed", node)),
+      fallbacks_(obs::fresh_counter("dur", "checkpoint_fallbacks", node)),
+      tail_lost_(obs::fresh_counter("dur", "tail_lost_bytes", node)) {}
 
 NodeDurability::~NodeDurability() { close(); }
 

@@ -26,19 +26,13 @@ FaultDetector::FaultDetector(sim::Simulation& sim, totem::GroupLayer& groups,
     : sim_(sim),
       groups_(groups),
       notifier_(notifier),
-      pings_sent_(obs::Registry::global().counter(
-          obs::node_metric("ftd", "pings_sent", groups.id()))),
-      pongs_received_(obs::Registry::global().counter(
-          obs::node_metric("ftd", "pongs_received", groups.id()))),
-      faults_reported_(obs::Registry::global().counter(
-          obs::node_metric("ftd", "faults_reported", groups.id()))),
-      faults_cleared_(obs::Registry::global().counter(
-          obs::node_metric("ftd", "faults_cleared", groups.id()))) {
-  pings_sent_.reset();
-  pongs_received_.reset();
-  faults_reported_.reset();
-  faults_cleared_.reset();
-}
+      pings_sent_(obs::fresh_counter("ftd", "pings_sent", groups.id())),
+      pongs_received_(
+          obs::fresh_counter("ftd", "pongs_received", groups.id())),
+      faults_reported_(
+          obs::fresh_counter("ftd", "faults_reported", groups.id())),
+      faults_cleared_(
+          obs::fresh_counter("ftd", "faults_cleared", groups.id())) {}
 
 void FaultDetector::start() {
   if (started_) return;

@@ -44,9 +44,7 @@ ReplicationManager::ReplicationManager(rep::Domain& domain,
                                        FaultNotifier& notifier)
     : domain_(domain),
       notifier_(notifier),
-      replicas_spawned_(
-          obs::Registry::global().counter("rm.replicas_spawned")) {
-  replicas_spawned_.reset();
+      replicas_spawned_(obs::fresh_counter("rm.replicas_spawned")) {
   for (sim::NodeId i = 0; i < domain_.size(); ++i) {
     domain_.engine(i).set_view_observer(
         [this, i](const totem::GroupView& v) { on_view(i, v); });

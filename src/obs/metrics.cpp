@@ -4,42 +4,8 @@
 
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 namespace eternal::obs {
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument("obs::Histogram range");
-  }
-}
-
-void Histogram::observe(double v) noexcept {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // atomic<double> has no fetch_add pre-C++20 on all targets; CAS loop.
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v,
-                                     std::memory_order_relaxed)) {
-  }
-  if (v < lo_) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-  } else if (v >= hi_) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counts_[static_cast<std::size_t>((v - lo_) / width_)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-}
-
-void Histogram::reset() noexcept {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  underflow_.store(0, std::memory_order_relaxed);
-  overflow_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
 
 Summary::Summary() : counts_(kBuckets) {}
 
@@ -132,21 +98,6 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& Registry::histogram(const std::string& name, double lo, double hi,
-                               std::size_t buckets) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(lo, hi, buckets);
-  return *slot;
-}
-
 Summary& Registry::summary(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = summaries_[name];
@@ -157,8 +108,6 @@ Summary& Registry::summary(const std::string& name) {
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, s] : summaries_) s->reset();
 }
 
@@ -167,22 +116,6 @@ std::string Registry::to_text() const {
   std::ostringstream os;
   for (const auto& [name, c] : counters_) {
     os << name << ' ' << c->value() << '\n';
-  }
-  for (const auto& [name, g] : gauges_) {
-    os << name << ' ' << g->value() << '\n';
-  }
-  for (const auto& [name, h] : histograms_) {
-    os << name << " count=" << h->count() << " mean=" << h->mean()
-       << " under=" << h->underflow() << " over=" << h->overflow()
-       << " buckets=[";
-    bool first = true;
-    for (std::size_t i = 0; i < h->bucket_count(); ++i) {
-      if (h->bucket(i) == 0) continue;
-      if (!first) os << ' ';
-      os << h->bucket_low(i) << ':' << h->bucket(i);
-      first = false;
-    }
-    os << "]\n";
   }
   for (const auto& [name, s] : summaries_) {
     os << name << ' ' << s->describe() << '\n';
@@ -212,25 +145,6 @@ std::string Registry::to_json() const {
     json_key(os, name, first);
     os << c->value();
   }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    json_key(os, name, first);
-    os << g->value();
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    json_key(os, name, first);
-    os << "{\"count\":" << h->count() << ",\"mean\":" << h->mean()
-       << ",\"underflow\":" << h->underflow()
-       << ",\"overflow\":" << h->overflow() << ",\"buckets\":[";
-    for (std::size_t i = 0; i < h->bucket_count(); ++i) {
-      if (i) os << ',';
-      os << h->bucket(i);
-    }
-    os << "]}";
-  }
   os << "},\"summaries\":{";
   first = true;
   for (const auto& [name, s] : summaries_) {
@@ -258,6 +172,17 @@ std::string node_metric(const char* layer, const char* metric,
   out += std::to_string(node);
   out += '}';
   return out;
+}
+
+Counter& fresh_counter(const std::string& name) {
+  Counter& c = Registry::global().counter(name);
+  c.reset();
+  return c;
+}
+
+Counter& fresh_counter(const char* layer, const char* metric,
+                       std::uint32_t node) {
+  return fresh_counter(node_metric(layer, metric, node));
 }
 
 }  // namespace eternal::obs

@@ -1,17 +1,19 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms.
+// Metrics registry: named counters and log-scale percentile summaries.
 //
-// The registry is the system-wide home for the numbers every layer already
-// kept privately (EngineStats, Totem node counters, fault-detector tallies):
-// a metric is created once by name and then incremented through a stable
-// handle, so the hot path is a single relaxed atomic add — no lookup, no
-// lock. Registration takes a mutex; it happens at component construction,
-// never per message. Snapshots export every metric as plaintext or JSON so
-// benches and tools can diff whole-system behaviour between runs.
+// The registry is the only home for per-layer statistics: a component takes
+// stable handles to its counters at construction (engine, totem node, fault
+// detector, durability, replication manager, simulator) and the hot path
+// increments them with a single relaxed atomic add — no lookup, no lock.
+// Readers (tests, benches, the soak runner) read the same handles through
+// the owner's `stats()` or look a counter up by name. Registration takes a
+// mutex; it happens at component construction, never per message. Snapshots
+// export every metric as plaintext or JSON so benches and tools can diff
+// whole-system behaviour between runs.
 //
 // Naming convention: `<layer>.<metric>{<label>=<value>}`, e.g.
-// `engine.invocations_executed{node=3}`. Per-instance metrics are reset by
-// their owner at construction, so sequential simulations in one process
-// (tests, bench sweeps) each start from zero.
+// `engine.invocations_executed{node=3}`. Owners take their counters through
+// `fresh_counter`, which zeroes them, so sequential simulations in one
+// process (tests, bench sweeps) each start from zero.
 #pragma once
 
 #include <atomic>
@@ -39,68 +41,13 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) noexcept {
-    v_.fetch_add(d, std::memory_order_relaxed);
-  }
-  std::int64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
-
-/// Fixed-bucket histogram: [lo, hi) split into equal-width buckets, with
-/// underflow/overflow tallies and a running sum for the mean.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void observe(double v) noexcept;
-
-  double lo() const noexcept { return lo_; }
-  double hi() const noexcept { return hi_; }
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const noexcept {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  double bucket_low(std::size_t i) const noexcept {
-    return lo_ + width_ * static_cast<double>(i);
-  }
-  std::uint64_t underflow() const noexcept {
-    return underflow_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t overflow() const noexcept {
-    return overflow_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  double mean() const noexcept {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-  }
-  void reset() noexcept;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> underflow_{0}, overflow_{0}, count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 /// Percentile summary over a fixed-bucket log-scale histogram. Values land
 /// in geometric buckets growing by 2^(1/8) per bucket (~4.4% worst-case
 /// relative error at the geometric midpoint); 512 buckets span [1, 2^64),
 /// so any simulated-microsecond latency fits without configuration. Exact
 /// min/max are tracked separately and clamp the quantile estimates, making
 /// p0/p100 exact. Observation is lock-free (relaxed atomics), like
-/// Histogram.
+/// Counter.
 class Summary {
  public:
   static constexpr std::size_t kBuckets = 512;
@@ -150,20 +97,15 @@ class Registry {
   /// Find-or-create. Returned references stay valid for the registry's
   /// lifetime (metrics are never deregistered).
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  /// Find-or-create; the shape arguments are only used on first creation.
-  Histogram& histogram(const std::string& name, double lo, double hi,
-                       std::size_t buckets);
   Summary& summary(const std::string& name);
 
   /// Zero every metric, keeping registrations (and handles) intact.
   void reset();
 
-  /// One `name value` line per metric, sorted by name. Histograms render as
-  /// `name count=N mean=M under=U over=O buckets=[lo:count ...]` with empty
-  /// buckets elided; summaries as `name count=N mean=M p50=.. ... max=..`.
+  /// One `name value` line per counter, then one `name count=N mean=M
+  /// p50=.. ... max=..` line per summary, each sorted by name.
   std::string to_text() const;
-  /// {"counters":{...},"gauges":{...},"histograms":{...},"summaries":{...}}
+  /// {"counters":{...},"summaries":{...}}
   std::string to_json() const;
 
   /// The process-wide default registry all layers register into.
@@ -172,8 +114,6 @@ class Registry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Summary>> summaries_;
 };
 
@@ -181,5 +121,13 @@ class Registry {
 /// per-processor metrics.
 std::string node_metric(const char* layer, const char* metric,
                         std::uint32_t node);
+
+/// Find-or-create `name` in the global registry and zero it: the one way a
+/// component takes its counter handles at construction, so each simulated
+/// cluster counts from zero. The second form names a per-processor counter
+/// (`node_metric(layer, metric, node)`).
+Counter& fresh_counter(const std::string& name);
+Counter& fresh_counter(const char* layer, const char* metric,
+                       std::uint32_t node);
 
 }  // namespace eternal::obs

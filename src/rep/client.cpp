@@ -145,11 +145,4 @@ void Client::retransmit_arm(const OperationId& op) {
       });
 }
 
-cdr::Bytes Client::invoke_blocking(const std::string& group,
-                                   const std::string& op,
-                                   std::span<const std::uint8_t> args,
-                                   sim::Time timeout) {
-  return invoke(group, op, args).get(timeout);
-}
-
 }  // namespace eternal::rep

@@ -47,7 +47,8 @@ class Domain {
     }
   }
 
-  /// Sum of a statistic across all engines (benchmark convenience).
+  /// Sum over all engines of `get(engine.stats())`, where `get` reads one
+  /// or more counters (benchmark convenience).
   template <typename F>
   std::uint64_t total(F&& get) const {
     std::uint64_t sum = 0;

@@ -28,66 +28,30 @@ std::vector<NodeId> intersect(const std::vector<NodeId>& a,
 constexpr std::size_t kExecPoolCap = 32;
 }  // namespace
 
-EngineCounters::EngineCounters(obs::Registry& reg, NodeId node)
+EngineCounters::EngineCounters(NodeId node)
     : invocations_executed(
-          reg.counter(obs::node_metric("engine", "invocations_executed", node))),
-      duplicate_invocations_dropped(reg.counter(
-          obs::node_metric("engine", "duplicate_invocations_dropped", node))),
-      duplicate_replies_resent(reg.counter(
-          obs::node_metric("engine", "duplicate_replies_resent", node))),
-      sends_suppressed(
-          reg.counter(obs::node_metric("engine", "sends_suppressed", node))),
-      responses_suppressed(reg.counter(
-          obs::node_metric("engine", "responses_suppressed", node))),
-      state_updates_applied(reg.counter(
-          obs::node_metric("engine", "state_updates_applied", node))),
-      snapshots_served(
-          reg.counter(obs::node_metric("engine", "snapshots_served", node))),
+          obs::fresh_counter("engine", "invocations_executed", node)),
+      duplicate_invocations_dropped(
+          obs::fresh_counter("engine", "duplicate_invocations_dropped", node)),
+      duplicate_replies_resent(
+          obs::fresh_counter("engine", "duplicate_replies_resent", node)),
+      sends_suppressed(obs::fresh_counter("engine", "sends_suppressed", node)),
+      responses_suppressed(
+          obs::fresh_counter("engine", "responses_suppressed", node)),
+      state_updates_applied(
+          obs::fresh_counter("engine", "state_updates_applied", node)),
+      snapshots_served(obs::fresh_counter("engine", "snapshots_served", node)),
       snapshots_applied(
-          reg.counter(obs::node_metric("engine", "snapshots_applied", node))),
-      failovers(reg.counter(obs::node_metric("engine", "failovers", node))),
-      fulfillment_recorded(reg.counter(
-          obs::node_metric("engine", "fulfillment_recorded", node))),
-      fulfillment_replayed(reg.counter(
-          obs::node_metric("engine", "fulfillment_replayed", node))),
-      state_digests_sent(reg.counter(
-          obs::node_metric("engine", "state_digests_sent", node))),
-      divergences_detected(reg.counter(
-          obs::node_metric("engine", "divergences_detected", node))) {}
-
-void EngineCounters::reset() noexcept {
-  invocations_executed.reset();
-  duplicate_invocations_dropped.reset();
-  duplicate_replies_resent.reset();
-  sends_suppressed.reset();
-  responses_suppressed.reset();
-  state_updates_applied.reset();
-  snapshots_served.reset();
-  snapshots_applied.reset();
-  failovers.reset();
-  fulfillment_recorded.reset();
-  fulfillment_replayed.reset();
-  state_digests_sent.reset();
-  divergences_detected.reset();
-}
-
-EngineStats EngineCounters::snapshot() const noexcept {
-  EngineStats s;
-  s.invocations_executed = invocations_executed.value();
-  s.duplicate_invocations_dropped = duplicate_invocations_dropped.value();
-  s.duplicate_replies_resent = duplicate_replies_resent.value();
-  s.sends_suppressed = sends_suppressed.value();
-  s.responses_suppressed = responses_suppressed.value();
-  s.state_updates_applied = state_updates_applied.value();
-  s.snapshots_served = snapshots_served.value();
-  s.snapshots_applied = snapshots_applied.value();
-  s.failovers = failovers.value();
-  s.fulfillment_recorded = fulfillment_recorded.value();
-  s.fulfillment_replayed = fulfillment_replayed.value();
-  s.state_digests_sent = state_digests_sent.value();
-  s.divergences_detected = divergences_detected.value();
-  return s;
-}
+          obs::fresh_counter("engine", "snapshots_applied", node)),
+      failovers(obs::fresh_counter("engine", "failovers", node)),
+      fulfillment_recorded(
+          obs::fresh_counter("engine", "fulfillment_recorded", node)),
+      fulfillment_replayed(
+          obs::fresh_counter("engine", "fulfillment_replayed", node)),
+      state_digests_sent(
+          obs::fresh_counter("engine", "state_digests_sent", node)),
+      divergences_detected(
+          obs::fresh_counter("engine", "divergences_detected", node)) {}
 
 std::string to_string(Style s) {
   switch (s) {
@@ -180,10 +144,9 @@ class ExecContext final : public orb::InvokerContext {
 Engine::Engine(sim::Simulation& sim, totem::GroupLayer& groups,
                EngineParams params)
     : sim_(sim), groups_(groups), params_(params),
-      counters_(obs::Registry::global(), groups.id()),
+      counters_(groups.id()),
       tracer_(obs::Tracer::global()),
       oracle_(params.divergence_check_interval) {
-  counters_.reset();
   tx_request_.service_contexts.push_back(
       {static_cast<std::uint32_t>(giop::ServiceId::FtRequest), {}});
   groups_.subscribe_all(

@@ -92,45 +92,25 @@ struct EngineParams {
   std::uint64_t divergence_check_interval = 0;
 };
 
-/// Point-in-time snapshot of one engine's counters. The live values are
-/// `engine.*{node=N}` counters in the global obs::Registry — this struct is
-/// the read-out convenience the tests and benches use (Engine::stats()).
-struct EngineStats {
-  std::uint64_t invocations_executed = 0;
-  std::uint64_t duplicate_invocations_dropped = 0;
-  std::uint64_t duplicate_replies_resent = 0;
-  std::uint64_t sends_suppressed = 0;       // sender-side (invocations)
-  std::uint64_t responses_suppressed = 0;   // sender-side (responses)
-  std::uint64_t state_updates_applied = 0;
-  std::uint64_t snapshots_served = 0;
-  std::uint64_t snapshots_applied = 0;
-  std::uint64_t failovers = 0;              // this node became primary
-  std::uint64_t fulfillment_recorded = 0;
-  std::uint64_t fulfillment_replayed = 0;
-  std::uint64_t state_digests_sent = 0;     // divergence oracle broadcasts
-  std::uint64_t divergences_detected = 0;   // oracle mismatches reported
-};
-
-/// Stable registry handles for the engine's hot-path counters, zeroed at
-/// engine construction so each simulated cluster starts fresh.
+/// The engine's `engine.*{node=N}` registry counters, zeroed at engine
+/// construction so each simulated cluster starts fresh. Engine::stats()
+/// hands them out; read a tally with `.value()`.
 struct EngineCounters {
   obs::Counter& invocations_executed;
   obs::Counter& duplicate_invocations_dropped;
   obs::Counter& duplicate_replies_resent;
-  obs::Counter& sends_suppressed;
-  obs::Counter& responses_suppressed;
+  obs::Counter& sends_suppressed;      // sender-side (invocations)
+  obs::Counter& responses_suppressed;  // sender-side (responses)
   obs::Counter& state_updates_applied;
   obs::Counter& snapshots_served;
   obs::Counter& snapshots_applied;
-  obs::Counter& failovers;
+  obs::Counter& failovers;             // this node became primary
   obs::Counter& fulfillment_recorded;
   obs::Counter& fulfillment_replayed;
-  obs::Counter& state_digests_sent;
-  obs::Counter& divergences_detected;
+  obs::Counter& state_digests_sent;    // divergence oracle broadcasts
+  obs::Counter& divergences_detected;  // oracle mismatches reported
 
-  EngineCounters(obs::Registry& reg, NodeId node);
-  void reset() noexcept;
-  EngineStats snapshot() const noexcept;
+  explicit EngineCounters(NodeId node);
 };
 
 /// Per-tier checkpoint sizes, reported by the E9 bench.
@@ -157,7 +137,7 @@ class Engine {
   sim::Simulation& simulation() { return sim_; }
   totem::GroupLayer& group_layer() { return groups_; }
   const EngineParams& params() const { return params_; }
-  EngineStats stats() const { return counters_.snapshot(); }
+  const EngineCounters& stats() const noexcept { return counters_; }
 
   /// Host a replica of an object group on this processor. `initial` marks
   /// the bootstrap replicas that start with authoritative (empty) state;
@@ -483,9 +463,9 @@ class Engine {
 /// any number may be outstanding per client (pipelining). Completable three
 /// ways: `co_await inv` from a coroutine, `inv.then(cb)` for callbacks, or
 /// `inv.get(timeout)` which drives the simulation until the reply arrives
-/// (replacing the old invoke_blocking loop). Abandoning via get()'s timeout
-/// or cancel() removes only *this* operation's retransmit state — sibling
-/// pipelined invocations are untouched.
+/// (so `client.invoke(...).get()` is the blocking call). Abandoning via
+/// get()'s timeout or cancel() removes only *this* operation's retransmit
+/// state — sibling pipelined invocations are untouched.
 class Invocation {
  public:
   Invocation() = default;
@@ -541,12 +521,6 @@ class Client {
   /// Throws TRANSIENT (backpressure) when the send queue is full.
   Invocation invoke(const std::string& group, const std::string& op,
                     std::span<const std::uint8_t> args);
-
-  /// Drive the simulation until the reply arrives or `timeout` elapses
-  /// (TIMEOUT system exception). For tests, examples and benches.
-  cdr::Bytes invoke_blocking(const std::string& group, const std::string& op,
-                             std::span<const std::uint8_t> args,
-                             sim::Time timeout = 5 * sim::kSecond);
 
   void set_retry_interval(sim::Time t) { retry_interval_ = t; }
   /// Client-side pipelining cap; 0 = no cap (engine backpressure only).

@@ -7,13 +7,8 @@ namespace eternal::sim {
 Simulation::Simulation(std::uint64_t seed)
     : seed_(seed),
       rng_(seed),
-      events_fired_(obs::Registry::global().counter("sim.events_fired")),
-      timers_scheduled_(
-          obs::Registry::global().counter("sim.timers_scheduled")) {
-  // A fresh simulation starts a fresh experiment: zero its registry slots so
-  // sequential runs in one process (tests, bench sweeps) don't accumulate.
-  events_fired_.reset();
-  timers_scheduled_.reset();
+      events_fired_(obs::fresh_counter("sim.events_fired")),
+      timers_scheduled_(obs::fresh_counter("sim.timers_scheduled")) {
   util::Logger::instance().set_time_source([this] { return now_; });
 }
 

@@ -4,12 +4,12 @@
 #include <cstdio>
 #include <optional>
 
-#include "analyze.hpp"  // obsctl analysis core — the same invariant audit
-                        // `obsctl audit` runs offline over dump files
 #include "app/servants.hpp"
 #include "cdr/cdr.hpp"
 #include "ft/recovery.hpp"
 #include "ft/replication_manager.hpp"
+#include "obs/analyze.hpp"  // obsctl analysis core — the same invariant
+                            // audit `obsctl audit` runs offline over dumps
 #include "obs/obs.hpp"
 #include "rep/oracle.hpp"
 
@@ -164,7 +164,7 @@ SoakResult SoakRunner::run(std::uint64_t seed) {
     for (const char* acct : {"soak-acct-a", "soak-acct-b"}) {
       cdr::Writer arg;
       arg.put_longlong(1000);
-      domain.client(0).invoke_blocking(acct, "deposit", arg.written());
+      domain.client(0).invoke(acct, "deposit", arg.written()).get();
     }
   }
 
@@ -283,16 +283,18 @@ SoakResult SoakRunner::run(std::uint64_t seed) {
   }
 
   const auto total = [&domain](auto get) { return domain.total(get); };
-  r.duplicates_dropped =
-      total([](const rep::EngineStats& s) {
-        return s.duplicate_invocations_dropped + s.duplicate_replies_resent;
-      });
-  r.sends_suppressed = total([](const rep::EngineStats& s) {
-    return s.sends_suppressed + s.responses_suppressed;
+  r.duplicates_dropped = total([](const rep::EngineCounters& s) {
+    return s.duplicate_invocations_dropped.value() +
+           s.duplicate_replies_resent.value();
   });
-  r.failovers = total([](const rep::EngineStats& s) { return s.failovers; });
-  r.divergences =
-      total([](const rep::EngineStats& s) { return s.divergences_detected; });
+  r.sends_suppressed = total([](const rep::EngineCounters& s) {
+    return s.sends_suppressed.value() + s.responses_suppressed.value();
+  });
+  r.failovers =
+      total([](const rep::EngineCounters& s) { return s.failovers.value(); });
+  r.divergences = total([](const rep::EngineCounters& s) {
+    return s.divergences_detected.value();
+  });
   r.replicas_spawned = rm.replicas_spawned();
   // Oracle-silence is only an invariant while the total order never split:
   // chaos motifs (partitions, but also gray lag or clock skew exceeding the

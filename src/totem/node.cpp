@@ -21,59 +21,38 @@ std::vector<NodeId> intersect(const std::vector<NodeId>& a,
 }
 }  // namespace
 
-NodeCounters::NodeCounters(obs::Registry& reg, NodeId id)
-    : broadcasts(reg.counter(obs::node_metric("totem", "broadcasts", id))),
-      delivered(reg.counter(obs::node_metric("totem", "delivered", id))),
-      retransmissions(
-          reg.counter(obs::node_metric("totem", "retransmissions", id))),
-      token_visits(reg.counter(obs::node_metric("totem", "token_visits", id))),
-      token_losses(reg.counter(obs::node_metric("totem", "token_losses", id))),
-      views_installed(
-          reg.counter(obs::node_metric("totem", "views_installed", id))),
-      batch_frames(
-          reg.counter(obs::node_metric("totem", "batch_frames", id))) {}
-
-void NodeCounters::reset() noexcept {
-  broadcasts.reset();
-  delivered.reset();
-  retransmissions.reset();
-  token_visits.reset();
-  token_losses.reset();
-  views_installed.reset();
-  batch_frames.reset();
-}
-
-NodeStats NodeCounters::snapshot() const noexcept {
-  return NodeStats{broadcasts.value(),   delivered.value(),
-                   retransmissions.value(), token_visits.value(),
-                   token_losses.value(), views_installed.value(),
-                   batch_frames.value()};
-}
+NodeCounters::NodeCounters(NodeId id)
+    : broadcasts(obs::fresh_counter("totem", "broadcasts", id)),
+      delivered(obs::fresh_counter("totem", "delivered", id)),
+      retransmissions(obs::fresh_counter("totem", "retransmissions", id)),
+      token_visits(obs::fresh_counter("totem", "token_visits", id)),
+      token_losses(obs::fresh_counter("totem", "token_losses", id)),
+      views_installed(obs::fresh_counter("totem", "views_installed", id)),
+      batch_frames(obs::fresh_counter("totem", "batch_frames", id)) {}
 
 Node::Node(sim::Simulation& sim, sim::Network& net, NodeId id, Params params)
-    : sim_(sim), net_(net), id_(id), params_(params),
-      counters_(obs::Registry::global(), id) {
-  counters_.reset();
-}
+    : sim_(sim), net_(net), id_(id), params_(params), counters_(id) {}
 
 void Node::start() {
   if (state_ != State::Down) return;
   state_ = State::Gather;  // enter_gather requires a non-Down state
   enter_gather();
+  announce_timer_ =
+      sim_.after(local(params_.announce_interval), [this] { announce_tick(); });
+}
+
+void Node::announce_tick() {
   // Periodic ring announcement: lets disjoint rings discover each other
   // once the network remerges. Runs for the life of the node.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, tick] {
-    if (state_ == State::Down) return;
-    if (state_ == State::Operational) {
-      Packet pkt;
-      pkt.kind = MsgKind::RingAnnounce;
-      pkt.announce = RingAnnounceMsg{id_, cur_.id, cur_.members};
-      multicast(pkt);
-    }
-    announce_timer_ = sim_.after(local(params_.announce_interval), *tick);
-  };
-  announce_timer_ = sim_.after(local(params_.announce_interval), *tick);
+  if (state_ == State::Down) return;
+  if (state_ == State::Operational) {
+    Packet pkt;
+    pkt.kind = MsgKind::RingAnnounce;
+    pkt.announce = RingAnnounceMsg{id_, cur_.id, cur_.members};
+    multicast(pkt);
+  }
+  announce_timer_ =
+      sim_.after(local(params_.announce_interval), [this] { announce_tick(); });
 }
 
 void Node::halt() {
@@ -488,22 +467,25 @@ void Node::enter_gather() {
   candidates_stable_since_ = sim_.now();
   send_join();
 
-  auto join_tick = std::make_shared<std::function<void()>>();
-  *join_tick = [this, join_tick] {
-    if (state_ != State::Gather) return;
-    send_join();
-    join_timer_ = sim_.after(local(params_.join_interval), *join_tick);
-  };
-  join_timer_ = sim_.after(local(params_.join_interval), *join_tick);
+  join_timer_ =
+      sim_.after(local(params_.join_interval), [this] { join_tick(); });
+  consensus_timer_ =
+      sim_.after(local(params_.join_interval), [this] { consensus_tick(); });
+}
 
-  auto consensus_tick = std::make_shared<std::function<void()>>();
-  *consensus_tick = [this, consensus_tick] {
-    if (state_ != State::Gather) return;
-    try_consensus();
-    if (state_ != State::Gather) return;
-    consensus_timer_ = sim_.after(local(params_.join_interval), *consensus_tick);
-  };
-  consensus_timer_ = sim_.after(local(params_.join_interval), *consensus_tick);
+void Node::join_tick() {
+  if (state_ != State::Gather) return;
+  send_join();
+  join_timer_ =
+      sim_.after(local(params_.join_interval), [this] { join_tick(); });
+}
+
+void Node::consensus_tick() {
+  if (state_ != State::Gather) return;
+  try_consensus();
+  if (state_ != State::Gather) return;
+  consensus_timer_ =
+      sim_.after(local(params_.join_interval), [this] { consensus_tick(); });
 }
 
 void Node::send_join() {

@@ -94,21 +94,9 @@ struct ViewEvent {
   std::vector<NodeId> members;  // sorted
 };
 
-/// Point-in-time snapshot of one node's protocol counters. The live values
-/// are `totem.*{node=N}` counters in the global obs::Registry; this struct
-/// is the read-out convenience the tests and benches use.
-struct NodeStats {
-  std::uint64_t broadcasts = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t token_visits = 0;
-  std::uint64_t token_losses = 0;
-  std::uint64_t views_installed = 0;
-  std::uint64_t batch_frames = 0;  // Batch frames sent (>= 2 msgs each)
-};
-
-/// Stable handles into the registry for the node's hot-path counters,
-/// zeroed at node construction so each simulated cluster starts fresh.
+/// The node's `totem.*{node=N}` registry counters, zeroed at node
+/// construction so each simulated cluster starts fresh. Node::stats() hands
+/// them out; read a tally with `.value()`.
 struct NodeCounters {
   obs::Counter& broadcasts;
   obs::Counter& delivered;
@@ -116,11 +104,9 @@ struct NodeCounters {
   obs::Counter& token_visits;
   obs::Counter& token_losses;
   obs::Counter& views_installed;
-  obs::Counter& batch_frames;
+  obs::Counter& batch_frames;  // Batch frames sent (>= 2 msgs each)
 
-  NodeCounters(obs::Registry& reg, NodeId id);
-  void reset() noexcept;
-  NodeStats snapshot() const noexcept;
+  explicit NodeCounters(NodeId id);
 };
 
 class Node {
@@ -191,7 +177,7 @@ class Node {
   void seed_epoch(std::uint64_t epoch) noexcept {
     max_epoch_seen_ = std::max(max_epoch_seen_, epoch);
   }
-  NodeStats stats() const noexcept { return counters_.snapshot(); }
+  const NodeCounters& stats() const noexcept { return counters_; }
   std::size_t backlog() const noexcept {
     return pending_.size() + recovery_pending_.size();
   }
@@ -235,6 +221,12 @@ class Node {
   // --- state transitions ---
   void enter_gather();
   void try_consensus();
+  /// Periodic ticks, each re-armed with a `[this]` closure: ring
+  /// announcement (life of the node), Join resend and consensus check
+  /// (while gathering).
+  void announce_tick();
+  void join_tick();
+  void consensus_tick();
   void build_and_send_commit();
   void fill_commit_info(CommitMsg& c);
   void enter_recovery(const CommitMsg& commit);

@@ -66,25 +66,4 @@ std::string Summary::describe() const {
   return os.str();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  if (buckets == 0 || hi <= lo) throw std::invalid_argument("Histogram range");
-}
-
-void Histogram::add(double v) {
-  ++total_;
-  if (v < lo_) {
-    ++underflow_;
-  } else if (v >= hi_) {
-    ++overflow_;
-  } else {
-    ++counts_[static_cast<std::size_t>((v - lo_) / width_)];
-  }
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
 }  // namespace eternal::util

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,24 +38,6 @@ class Summary {
   void ensure_sorted() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-bucket histogram used by a few benches to show distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double v);
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_low(std::size_t i) const;
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  std::uint64_t total() const noexcept { return total_; }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace eternal::util

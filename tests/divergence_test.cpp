@@ -69,7 +69,7 @@ struct Cluster {
     cdr::Writer enc;
     enc.put_longlong(d);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.written());
+        domain.client(node).invoke(group, "incr", enc.written()).get();
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -169,9 +169,9 @@ TEST(Divergence, DeterministicServantIsDivergenceFree) {
   c.run_settle();
 
   for (NodeId n : {0u, 1u, 2u}) {
-    const EngineStats s = c.domain.engine(n).stats();
-    EXPECT_EQ(s.state_digests_sent, 6u) << "node " << n;
-    EXPECT_EQ(s.divergences_detected, 0u) << "node " << n;
+    const EngineCounters& s = c.domain.engine(n).stats();
+    EXPECT_EQ(s.state_digests_sent.value(), 6u) << "node " << n;
+    EXPECT_EQ(s.divergences_detected.value(), 0u) << "node " << n;
   }
   EXPECT_TRUE(obs::Journal::global()
                   .events(obs::EventKind::DivergenceDetected)
@@ -188,7 +188,7 @@ TEST(Divergence, CadenceFollowsStateVersionInterval) {
 
   // Versions 2, 4, 6 are digest boundaries; 1, 3, 5 are not.
   for (NodeId n : {0u, 1u, 2u}) {
-    EXPECT_EQ(c.domain.engine(n).stats().state_digests_sent, 3u)
+    EXPECT_EQ(c.domain.engine(n).stats().state_digests_sent.value(), 3u)
         << "node " << n;
   }
 }
@@ -213,7 +213,7 @@ TEST(Divergence, SaltedServantIsConvictedByOperationId) {
 
   // Every engine hosting the group convicts the same operation.
   for (NodeId n : {0u, 1u, 2u}) {
-    EXPECT_GE(c.domain.engine(n).stats().divergences_detected, 1u)
+    EXPECT_GE(c.domain.engine(n).stats().divergences_detected.value(), 1u)
         << "node " << n;
   }
 
@@ -243,9 +243,9 @@ TEST(Divergence, OracleOffMeansNoDigestTraffic) {
   c.incr(3, "ctr", 5);
   c.run_settle();
   for (NodeId n : {0u, 1u, 2u}) {
-    const EngineStats s = c.domain.engine(n).stats();
-    EXPECT_EQ(s.state_digests_sent, 0u);
-    EXPECT_EQ(s.divergences_detected, 0u);
+    const EngineCounters& s = c.domain.engine(n).stats();
+    EXPECT_EQ(s.state_digests_sent.value(), 0u);
+    EXPECT_EQ(s.divergences_detected.value(), 0u);
   }
 }
 

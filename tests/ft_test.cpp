@@ -29,7 +29,7 @@ struct Cluster {
     cdr::Writer enc;
     enc.put_longlong(d);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.written());
+        domain.client(node).invoke(group, "incr", enc.written()).get();
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }

@@ -48,8 +48,7 @@ struct Stack {
     cdr::Writer enc;
     enc.put_longlong(1);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.written(),
-                                            timeout);
+        domain.client(node).invoke(group, "incr", enc.written()).get(timeout);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -197,15 +196,16 @@ TEST(Integration, MixedStyleGroupsShareProcessorsUnderFaults) {
 
   cdr::Writer dep;
   dep.put_longlong(100);
-  s.domain.client(5).invoke_blocking("a", "deposit", dep.written());
+  s.domain.client(5).invoke("a", "deposit", dep.written()).get();
 
   auto transfer = [&] {
     cdr::Writer args;
     args.put_string("a");
     args.put_string("b");
     args.put_longlong(10);
-    s.domain.client(5).invoke_blocking("teller", "transfer", args.written(),
-                                       10 * kSecond);
+    s.domain.client(5)
+        .invoke("teller", "transfer", args.written())
+        .get(10 * kSecond);
   };
   transfer();
   // Node 2 hosts a replica of *all three* groups; crash it mid-service.
@@ -214,7 +214,7 @@ TEST(Integration, MixedStyleGroupsShareProcessorsUnderFaults) {
   transfer();
   s.sim.run_for(2 * kSecond);
 
-  cdr::Bytes bal = s.domain.client(5).invoke_blocking("b", "balance", {});
+  cdr::Bytes bal = s.domain.client(5).invoke("b", "balance", {}).get();
   cdr::Decoder dec(bal);
   EXPECT_EQ(dec.get_longlong(), 20);
 }
@@ -251,12 +251,12 @@ TEST(Integration, InventoryWithManagementPlaneAndPartition) {
 
   cdr::Writer make;
   make.put_longlong(1);
-  s.domain.client(0).invoke_blocking("inv", "manufacture", make.written());
+  s.domain.client(0).invoke("inv", "manufacture", make.written()).get();
 
   s.net.set_partitions({{0, 1, 3, 4}, {2}});
   ASSERT_TRUE(s.converge());
-  s.domain.client(1).invoke_blocking("inv", "sell", {});
-  s.domain.client(2).invoke_blocking("inv", "sell", {});
+  s.domain.client(1).invoke("inv", "sell", {}).get();
+  s.domain.client(2).invoke("inv", "sell", {}).get();
   s.net.heal_partitions();
   ASSERT_TRUE(s.converge());
   s.sim.run_for(5 * kSecond);

@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "app/servants.hpp"
+#include "ft/fault_detector.hpp"
+#include "ft/recovery.hpp"
+#include "ft/replication_manager.hpp"
 #include "obs/obs.hpp"
 #include "rep/domain.hpp"
 
@@ -35,65 +40,178 @@ TEST(Registry, CounterFindOrCreateReturnsStableHandle) {
   EXPECT_EQ(b.value(), 0u);
 }
 
-TEST(Registry, GaugeSetAndAdd) {
-  Registry reg;
-  Gauge& g = reg.gauge("x.depth");
-  g.set(10);
-  g.add(-3);
-  EXPECT_EQ(g.value(), 7);
-  g.reset();
-  EXPECT_EQ(g.value(), 0);
-}
-
-TEST(Registry, HistogramBucketsAndMean) {
-  Registry reg;
-  Histogram& h = reg.histogram("x.lat", 0.0, 100.0, 10);
-  for (double v : {5.0, 15.0, 15.0, 95.0}) h.observe(v);
-  h.observe(-1.0);
-  h.observe(1000.0);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_DOUBLE_EQ(h.mean(), (5.0 + 15.0 + 15.0 + 95.0 - 1.0 + 1000.0) / 6.0);
-  // Shape arguments only matter on first creation.
-  Histogram& same = reg.histogram("x.lat", 0.0, 1.0, 2);
-  EXPECT_EQ(&same, &h);
-}
-
 TEST(Registry, ResetZeroesEverythingButKeepsHandles) {
   Registry reg;
   Counter& c = reg.counter("a");
-  Gauge& g = reg.gauge("b");
-  Histogram& h = reg.histogram("c", 0, 10, 2);
+  Summary& s = reg.summary("b");
   c.inc();
-  g.set(5);
-  h.observe(3);
+  s.observe(3);
   reg.reset();
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_DOUBLE_EQ(s.sum(), 0.0);
+  EXPECT_EQ(&reg.counter("a"), &c);
+  EXPECT_EQ(&reg.summary("b"), &s);
 }
 
 TEST(Registry, SnapshotExportContainsMetrics) {
   Registry reg;
   reg.counter("engine.execs{node=1}").inc(3);
-  reg.gauge("queue.depth").set(-2);
-  reg.histogram("lat", 0, 10, 2).observe(4);
+  reg.summary("client.rtt_us{node=0}").observe(4);
   const std::string text = reg.to_text();
   EXPECT_NE(text.find("engine.execs{node=1} 3"), std::string::npos);
-  EXPECT_NE(text.find("queue.depth -2"), std::string::npos);
+  EXPECT_NE(text.find("client.rtt_us{node=0} count=1"), std::string::npos);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"engine.execs{node=1}\":3"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"client.rtt_us{node=0}\":{\"count\":1"),
+            std::string::npos);
 }
 
 TEST(Registry, NodeMetricNaming) {
   EXPECT_EQ(node_metric("totem", "broadcasts", 3), "totem.broadcasts{node=3}");
+}
+
+// ---------------------------------------------------------------------------
+// Counter ownership: every component takes its registry counters through
+// fresh_counter at construction, so a second cluster built in the same
+// process counts from zero in every layer.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kOwnerNodes = 4;
+
+/// Every component that owns registry counters: engines and Totem nodes
+/// (through the domain), a fault detector per node, the RM and a
+/// durability plane. DurabilityPlane::attach_all() creates the dur owners.
+struct OwnerCluster {
+  explicit OwnerCluster(sim::DiskFarm& farm)
+      : net(sim, kOwnerNodes), fabric(sim, net), domain(fabric),
+        rm(domain, notifier), plane(domain, farm) {
+    rm.set_durability_plane(&plane);
+    for (NodeId n = 0; n < kOwnerNodes; ++n) {
+      detectors.push_back(std::make_unique<ft::FaultDetector>(
+          sim, fabric.group(n), notifier));
+    }
+  }
+
+  sim::Simulation sim;
+  sim::Network net;
+  totem::Fabric fabric;
+  rep::Domain domain;
+  ft::FaultNotifier notifier;
+  ft::ReplicationManager rm;
+  ft::DurabilityPlane plane;
+  std::vector<std::unique_ptr<ft::FaultDetector>> detectors;
+};
+
+std::vector<const Counter*> all_of(const rep::EngineCounters& s) {
+  return {&s.invocations_executed,  &s.duplicate_invocations_dropped,
+          &s.duplicate_replies_resent, &s.sends_suppressed,
+          &s.responses_suppressed,  &s.state_updates_applied,
+          &s.snapshots_served,      &s.snapshots_applied,
+          &s.failovers,             &s.fulfillment_recorded,
+          &s.fulfillment_replayed,  &s.state_digests_sent,
+          &s.divergences_detected};
+}
+
+std::vector<const Counter*> all_of(const totem::NodeCounters& s) {
+  return {&s.broadcasts,   &s.delivered,    &s.retransmissions,
+          &s.token_visits, &s.token_losses, &s.views_installed,
+          &s.batch_frames};
+}
+
+/// Per-node counter names by layer: every ftd and dur counter, and the
+/// totem and engine ones the repository benchmark reads by name.
+const std::map<std::string, std::vector<const char*>> kPerNodeCounters = {
+    {"totem",
+     {"broadcasts", "delivered", "retransmissions", "token_visits",
+      "token_losses", "views_installed", "batch_frames"}},
+    {"engine",
+     {"invocations_executed", "duplicate_invocations_dropped",
+      "duplicate_replies_resent", "sends_suppressed", "responses_suppressed",
+      "state_updates_applied", "snapshots_served", "snapshots_applied",
+      "failovers"}},
+    {"ftd",
+     {"pings_sent", "pongs_received", "faults_reported", "faults_cleared"}},
+    {"dur",
+     {"journal_appends", "journal_bytes", "append_failures", "journal_syncs",
+      "checkpoints_cut", "compacted_bytes", "recoveries", "records_replayed",
+      "checkpoint_fallbacks", "tail_lost_bytes"}},
+};
+
+/// `layer`'s per-node counters on every node of an OwnerCluster.
+std::vector<const Counter*> node_counters(const std::string& layer) {
+  std::vector<const Counter*> out;
+  for (const char* metric : kPerNodeCounters.at(layer)) {
+    for (NodeId n = 0; n < kOwnerNodes; ++n) {
+      out.push_back(
+          &Registry::global().counter(node_metric(layer.c_str(), metric, n)));
+    }
+  }
+  return out;
+}
+
+std::uint64_t sum(const std::vector<const Counter*>& counters) {
+  std::uint64_t total = 0;
+  for (const Counter* c : counters) total += c->value();
+  return total;
+}
+
+TEST(Registry, SecondClusterCountsFromZeroInEveryLayer) {
+  Registry& reg = Registry::global();
+  {
+    sim::DiskFarm farm(kOwnerNodes);
+    OwnerCluster c(farm);
+    c.plane.attach_all();
+    c.fabric.start_all();
+    for (auto& d : c.detectors) d->start();
+    for (NodeId n = 1; n < kOwnerNodes; ++n) {
+      c.detectors[0]->monitor(n, 40 * kMillisecond, 15 * kMillisecond);
+    }
+    ft::Properties p;
+    p.initial_number_replicas = 3;
+    p.minimum_number_replicas = 3;
+    c.rm.create_object<app::Counter>("ctr", p, {{0, 1, 2}});
+    ASSERT_TRUE(c.fabric.run_until_converged(2 * kSecond));
+    c.sim.run_for(300 * kMillisecond);
+    for (int i = 0; i < 5; ++i) {
+      cdr::Writer enc;
+      enc.put_longlong(1);
+      c.domain.client(3).invoke("ctr", "incr", enc.written()).get();
+    }
+    // A crash makes the detector report and the RM spawn a replacement.
+    c.fabric.crash(1);
+    c.sim.run_for(3 * kSecond);
+
+    // Every layer counted something, so the zeroes below are real resets.
+    for (const auto& [layer, metrics] : kPerNodeCounters) {
+      EXPECT_GT(sum(node_counters(layer)), 0u) << layer;
+    }
+    EXPECT_GT(reg.counter("rm.replicas_spawned").value(), 0u);
+    EXPECT_GT(reg.counter("sim.events_fired").value(), 0u);
+    EXPECT_GT(reg.counter("sim.timers_scheduled").value(), 0u);
+  }
+
+  sim::DiskFarm farm(kOwnerNodes);
+  OwnerCluster c(farm);
+  for (NodeId n = 0; n < kOwnerNodes; ++n) {
+    const rep::EngineCounters& engine = c.domain.engine(n).stats();
+    EXPECT_EQ(&engine.failovers,
+              &reg.counter(node_metric("engine", "failovers", n)));
+    EXPECT_EQ(sum(all_of(engine)), 0u) << "engine node " << n;
+    EXPECT_EQ(sum(all_of(c.fabric.node(n).stats())), 0u) << "totem node " << n;
+  }
+  for (const char* layer : {"totem", "engine", "ftd"}) {
+    EXPECT_EQ(sum(node_counters(layer)), 0u) << layer;
+  }
+  EXPECT_EQ(c.rm.replicas_spawned(), 0u);
+  for (const char* name :
+       {"rm.replicas_spawned", "sim.events_fired", "sim.timers_scheduled"}) {
+    EXPECT_EQ(reg.counter(name).value(), 0u) << name;
+  }
+  // The dur owners exist once attached (which also arms their sync timers).
+  c.plane.attach_all();
+  EXPECT_EQ(sum(node_counters("dur")), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +401,7 @@ struct Cluster {
     cdr::Writer enc;
     enc.put_longlong(arg);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, op, enc.written());
+        domain.client(node).invoke(group, op, enc.written()).get();
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -349,7 +467,7 @@ TEST_F(EndToEnd, TraceSpansOrderedUnderDuplicateSuppression) {
   // Suppression tallies in the registry agree with the trace.
   std::uint64_t suppressed = 0;
   for (NodeId n : {0u, 1u, 2u}) {
-    suppressed += c.domain.engine(n).stats().responses_suppressed;
+    suppressed += c.domain.engine(n).stats().responses_suppressed.value();
   }
   EXPECT_GE(suppressed,
             static_cast<std::uint64_t>(count(SpanEvent::ResponseSuppressed)));
@@ -431,7 +549,7 @@ TEST_F(EndToEnd, NestedInvocationsChainOntoParentExecutionSpan) {
   {
     cdr::Writer enc;
     enc.put_longlong(100);
-    c.domain.client(0).invoke_blocking("acct.a", "deposit", enc.written());
+    c.domain.client(0).invoke("acct.a", "deposit", enc.written()).get();
   }
 
   Tracer::global().enable(true);
@@ -439,7 +557,7 @@ TEST_F(EndToEnd, NestedInvocationsChainOntoParentExecutionSpan) {
   enc.put_string("acct.a");
   enc.put_string("acct.b");
   enc.put_longlong(30);
-  c.domain.client(4).invoke_blocking("teller", "transfer", enc.written());
+  c.domain.client(4).invoke("teller", "transfer", enc.written()).get();
   c.sim.run_for(kSecond);
   Tracer::global().enable(false);
 

@@ -18,11 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "analyze.hpp"
 #include "app/servants.hpp"
 #include "ft/fault_notifier.hpp"
 #include "ft/recovery.hpp"
 #include "ft/replication_manager.hpp"
+#include "obs/analyze.hpp"
 #include "obs/obs.hpp"
 #include "rep/domain.hpp"
 #include "rep/stub.hpp"
@@ -71,7 +71,7 @@ struct Cluster {
     cdr::Writer enc;
     enc.put_longlong(d);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.written());
+        domain.client(node).invoke(group, "incr", enc.written()).get();
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -494,8 +494,8 @@ TEST_F(Scenario, DomainRecoveryDumpAuditsClean) {
   const auto incr = [&](NodeId node, std::int64_t d) {
     cdr::Writer enc;
     enc.put_longlong(d);
-    cdr::Bytes out = domain.client(node).invoke_blocking("ctr", "incr",
-                                                         enc.written());
+    cdr::Bytes out = domain.client(node).invoke("ctr", "incr",
+                                                         enc.written()).get();
     cdr::Decoder dec(out);
     return dec.get_longlong();
   };

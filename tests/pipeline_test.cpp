@@ -93,13 +93,16 @@ void pipelined_exactly_once_across_crash(Style style) {
   // the style's executing replicas.
   if (style == Style::Active) {
     for (NodeId n : {NodeId{1}, NodeId{2}}) {
-      EXPECT_EQ(c.domain.engine(n).stats().invocations_executed, kDepth);
+      EXPECT_EQ(c.domain.engine(n).stats().invocations_executed.value(),
+                kDepth);
     }
   } else {
-    const auto s1 = c.domain.engine(1).stats();
-    const auto s2 = c.domain.engine(2).stats();
-    EXPECT_EQ(s1.invocations_executed + s1.state_updates_applied +
-                  s2.invocations_executed + s2.state_updates_applied,
+    const auto& s1 = c.domain.engine(1).stats();
+    const auto& s2 = c.domain.engine(2).stats();
+    EXPECT_EQ(s1.invocations_executed.value() +
+                  s1.state_updates_applied.value() +
+                  s2.invocations_executed.value() +
+                  s2.state_updates_applied.value(),
               2 * kDepth);
   }
 }

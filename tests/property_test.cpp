@@ -38,8 +38,9 @@ struct Cluster {
   std::int64_t incr(NodeId node) {
     cdr::Writer enc;
     enc.put_longlong(1);
-    cdr::Bytes out = domain.client(node).invoke_blocking(
-        "ctr", "incr", enc.written(), 30 * kSecond);
+    cdr::Bytes out = domain.client(node)
+                         .invoke("ctr", "incr", enc.written())
+                         .get(30 * kSecond);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -192,7 +193,7 @@ TEST_P(TransferChaos, MoneyIsConserved) {
 
   cdr::Writer dep;
   dep.put_longlong(1000);
-  c.domain.client(5).invoke_blocking("acct.a", "deposit", dep.written());
+  c.domain.client(5).invoke("acct.a", "deposit", dep.written()).get();
 
   bool crashed = false;
   int transfers_done = 0;
@@ -215,7 +216,7 @@ TEST_P(TransferChaos, MoneyIsConserved) {
   c.sim.run_for(2 * kSecond);
 
   auto balance = [&](const std::string& acct) {
-    cdr::Bytes out = c.domain.client(5).invoke_blocking(acct, "balance", {});
+    cdr::Bytes out = c.domain.client(5).invoke(acct, "balance", {}).get();
     cdr::Decoder dec(out);
     return dec.get_longlong();
   };

@@ -48,7 +48,7 @@ struct DurableCluster {
     cdr::Writer enc;
     enc.put_longlong(d);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.written());
+        domain.client(node).invoke(group, "incr", enc.written()).get();
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -171,7 +171,7 @@ TEST(Recovery, RetryStraddlingRestartStaysExactlyOnce) {
   enc.put_longlong(1);
   rep::Invocation inv =
       c.domain.client(3).invoke("counter", "incr", enc.written());
-  while (c.domain.engine(0).stats().invocations_executed == 0) {
+  while (c.domain.engine(0).stats().invocations_executed.value() == 0) {
     ASSERT_TRUE(c.sim.step()) << "ran dry before the op executed";
   }
   ASSERT_FALSE(inv.ready());
@@ -201,7 +201,7 @@ TEST(Recovery, RetryStraddlingRestartStaysExactlyOnce) {
   EXPECT_GE(hosting, 2u);
   std::uint64_t resent = 0;
   for (NodeId n : {0, 1, 2, 3}) {
-    resent += c.domain.engine(n).stats().duplicate_replies_resent;
+    resent += c.domain.engine(n).stats().duplicate_replies_resent.value();
   }
   EXPECT_GE(resent, 1u);
 }
@@ -275,14 +275,14 @@ TEST(Recovery, NestedOperationsRecoverConsistently) {
   {
     cdr::Writer enc;
     enc.put_longlong(1000);
-    c.domain.client(0).invoke_blocking("alice", "deposit", enc.written());
+    c.domain.client(0).invoke("alice", "deposit", enc.written()).get();
   }
   for (int i = 0; i < 4; ++i) {
     cdr::Writer enc;
     enc.put_string("alice");
     enc.put_string("bob");
     enc.put_longlong(50);
-    c.domain.client(0).invoke_blocking("teller", "transfer", enc.written());
+    c.domain.client(0).invoke("teller", "transfer", enc.written()).get();
   }
   c.plane.sync_all();
   c.kill({0, 1, 2}, /*torn=*/false);

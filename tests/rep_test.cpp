@@ -49,7 +49,7 @@ struct Cluster {
     cdr::Writer enc;
     enc.put_longlong(arg);
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, op, enc.written(), timeout);
+        domain.client(node).invoke(group, op, enc.written()).get(timeout);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -58,7 +58,7 @@ struct Cluster {
                          const std::string& op,
                          sim::Time timeout = 5 * kSecond) {
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, op, {}, timeout);
+        domain.client(node).invoke(group, op, {}).get(timeout);
     cdr::Decoder dec(out);
     return dec.get_string();
   }
@@ -98,7 +98,7 @@ TEST(Active, EveryReplicaExecutesEveryOperation) {
   for (int i = 0; i < 10; ++i) c.invoke_i64(3, "ctr", "incr", 1);
   c.run(kSecond);
   for (NodeId n : {0u, 1u, 2u}) {
-    EXPECT_EQ(c.domain.engine(n).stats().invocations_executed, 10u);
+    EXPECT_EQ(c.domain.engine(n).stats().invocations_executed.value(), 10u);
   }
 }
 
@@ -114,7 +114,7 @@ TEST(Active, ExactlyOnceUnderClientRetries) {
   c.run(kSecond);
   for (NodeId n : {0u, 1u, 2u}) {
     EXPECT_EQ(c.replica<Counter>(n, "ctr")->value(), 5);
-    EXPECT_EQ(c.domain.engine(n).stats().invocations_executed, 5u);
+    EXPECT_EQ(c.domain.engine(n).stats().invocations_executed.value(), 5u);
   }
 }
 
@@ -171,13 +171,13 @@ TEST(WarmPassive, SecondariesTrackViaPostimages) {
   EXPECT_EQ(c.invoke_i64(3, "ctr", "incr", 4), 4);
   c.run(kSecond);
   // Only the primary executed...
-  EXPECT_EQ(c.domain.engine(0).stats().invocations_executed, 1u);
-  EXPECT_EQ(c.domain.engine(1).stats().invocations_executed, 0u);
+  EXPECT_EQ(c.domain.engine(0).stats().invocations_executed.value(), 1u);
+  EXPECT_EQ(c.domain.engine(1).stats().invocations_executed.value(), 0u);
   // ...but every secondary applied the postimage.
   for (NodeId n : {0u, 1u, 2u}) {
     EXPECT_EQ(c.replica<Counter>(n, "ctr")->value(), 4) << "node " << n;
   }
-  EXPECT_GE(c.domain.engine(1).stats().state_updates_applied, 1u);
+  EXPECT_GE(c.domain.engine(1).stats().state_updates_applied.value(), 1u);
 }
 
 TEST(WarmPassive, FailoverPromotesNextReplica) {
@@ -191,7 +191,7 @@ TEST(WarmPassive, FailoverPromotesNextReplica) {
   c.run(100 * kMillisecond);
   EXPECT_TRUE(c.domain.engine(1).is_primary("ctr"));
   EXPECT_EQ(c.invoke_i64(3, "ctr", "incr", 1), 11);
-  EXPECT_GE(c.domain.engine(1).stats().failovers, 1u);
+  EXPECT_GE(c.domain.engine(1).stats().failovers.value(), 1u);
 }
 
 TEST(WarmPassive, InFlightOperationSurvivesPrimaryCrash) {
@@ -259,7 +259,7 @@ TEST(StateTransfer, LargeStateInChunks) {
   cdr::Writer enc;
   enc.put_ulonglong(500);
   enc.put_ulonglong(100);
-  c.domain.client(2).invoke_blocking("kv", "fill", enc.written());
+  c.domain.client(2).invoke("kv", "fill", enc.written()).get();
   c.run(kSecond);
 
   c.domain.engine(2).host(cfg("kv", Style::Active),
@@ -347,7 +347,7 @@ TEST(StateTransfer, RecoveredReplicaAnswersOldClientRetries) {
                           std::make_shared<Counter>(), false);
   c.run(2 * kSecond);
   EXPECT_EQ(c.replica<Counter>(2, "ctr")->value(), 5);
-  EXPECT_EQ(c.domain.engine(2).stats().invocations_executed, 0u);
+  EXPECT_EQ(c.domain.engine(2).stats().invocations_executed.value(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ TEST_P(NestedSweep, TransferAcrossGroups) {
   enc.put_string("acct.b");
   enc.put_longlong(30);
   cdr::Bytes out =
-      c.domain.client(4).invoke_blocking("teller", "transfer", enc.written());
+      c.domain.client(4).invoke("teller", "transfer", enc.written()).get();
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 30);  // destination balance
 
@@ -412,7 +412,7 @@ TEST(Nested, UserExceptionPropagatesThroughChain) {
   enc.put_string("acct.b");
   enc.put_longlong(50);  // overdraft: acct.a is empty
   try {
-    c.domain.client(3).invoke_blocking("teller", "transfer", enc.written());
+    c.domain.client(3).invoke("teller", "transfer", enc.written()).get();
     FAIL() << "expected NO_FUNDS";
   } catch (const orb::SystemException& e) {
     EXPECT_NE(e.exception_id().find("NO_FUNDS"), std::string::npos);
@@ -466,12 +466,12 @@ TEST(Duplicates, SenderSideSuppressionSavesMulticasts) {
       enc.put_string("acct.a");
       enc.put_string("acct.b");
       enc.put_longlong(1);
-      c.domain.client(5).invoke_blocking("teller", "transfer", enc.written());
+      c.domain.client(5).invoke("teller", "transfer", enc.written()).get();
     }
     c.run(kSecond);
     const std::uint64_t suppressed =
-        c.domain.total([](const EngineStats& s) {
-          return s.sends_suppressed + s.responses_suppressed;
+        c.domain.total([](const EngineCounters& s) {
+          return s.sends_suppressed.value() + s.responses_suppressed.value();
         });
     return std::pair{c.net.stats().multicasts_sent, suppressed};
   };
@@ -496,14 +496,15 @@ TEST(Duplicates, ReceiverSideCollapsesUnsuppressedCopies) {
   enc.put_string("acct.a");
   enc.put_string("acct.b");
   enc.put_longlong(30);
-  c.domain.client(5).invoke_blocking("teller", "transfer", enc.written());
+  c.domain.client(5).invoke("teller", "transfer", enc.written()).get();
   c.run(kSecond);
   // Three teller replicas each multicast the nested withdraw; the account
   // replicas executed it exactly once.
   EXPECT_EQ(c.replica<Account>(3, "acct.a")->balance(), 70);
   EXPECT_EQ(c.replica<Account>(4, "acct.a")->balance(), 70);
-  const std::uint64_t dropped = c.domain.total([](const EngineStats& s) {
-    return s.duplicate_invocations_dropped + s.duplicate_replies_resent;
+  const std::uint64_t dropped = c.domain.total([](const EngineCounters& s) {
+    return s.duplicate_invocations_dropped.value() +
+           s.duplicate_replies_resent.value();
   });
   EXPECT_GT(dropped, 0u);
 }
@@ -517,7 +518,7 @@ TEST(Determinism, TimeAndRandomIdenticalAcrossReplicas) {
   c.domain.host_on<NondetProbe>(cfg("probe", Style::Active), {0, 1, 2});
   ASSERT_TRUE(c.converge());
   for (int i = 0; i < 3; ++i) {
-    c.domain.client(3).invoke_blocking("probe", "sample", {});
+    c.domain.client(3).invoke("probe", "sample", {}).get();
   }
   c.run(kSecond);
   cdr::Writer s0, s1, s2;
@@ -570,7 +571,7 @@ TEST(Partition, FulfillmentReplaysSecondaryOperationsOnRemerge) {
     EXPECT_EQ(c.replica<Counter>(n, "ctr")->value(), 12) << "node " << n;
   }
   EXPECT_EQ(c.domain.engine(3).fulfillment_backlog("ctr"), 0u);
-  EXPECT_GE(c.domain.engine(3).stats().fulfillment_replayed, 2u);
+  EXPECT_GE(c.domain.engine(3).stats().fulfillment_replayed.value(), 2u);
 }
 
 TEST(Partition, InventoryScenarioFromThePaper) {

@@ -171,7 +171,7 @@ TEST_F(Edge, UnknownOperationReturnsBadOperationThroughTheStack) {
   domain.host_on<app::Counter>(GroupConfig{"ctr", Style::Active}, {0, 1});
   sim.run_for(kSecond);
   try {
-    domain.client(3).invoke_blocking("ctr", "no_such_op", {});
+    domain.client(3).invoke("ctr", "no_such_op", {}).get();
     FAIL();
   } catch (const orb::SystemException& e) {
     EXPECT_NE(e.exception_id().find("BAD_OPERATION"), std::string::npos);
@@ -180,14 +180,14 @@ TEST_F(Edge, UnknownOperationReturnsBadOperationThroughTheStack) {
   cdr::Writer enc;
   enc.put_longlong(1);
   cdr::Bytes out =
-      domain.client(3).invoke_blocking("ctr", "incr", enc.written());
+      domain.client(3).invoke("ctr", "incr", enc.written()).get();
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 1);
 }
 
 TEST_F(Edge, InvocationToNonexistentGroupTimesOut) {
   EXPECT_THROW(
-      domain.client(0).invoke_blocking("ghost", "op", {}, 500 * kMillisecond),
+      domain.client(0).invoke("ghost", "op", {}).get(500 * kMillisecond),
       orb::SystemException);
 }
 
@@ -196,7 +196,7 @@ TEST_F(Edge, MalformedArgumentsYieldMarshalException) {
   sim.run_for(kSecond);
   try {
     // "incr" expects a longlong; send nothing.
-    domain.client(3).invoke_blocking("ctr", "incr", {});
+    domain.client(3).invoke("ctr", "incr", {}).get();
     FAIL();
   } catch (const orb::SystemException& e) {
     EXPECT_NE(e.exception_id().find("MARSHAL"), std::string::npos);
@@ -208,7 +208,7 @@ TEST_F(Edge, UnhostedGroupStopsServingLocally) {
   sim.run_for(kSecond);
   cdr::Writer enc;
   enc.put_longlong(1);
-  domain.client(3).invoke_blocking("ctr", "incr", enc.written());
+  domain.client(3).invoke("ctr", "incr", enc.written()).get();
   domain.engine(0).unhost("ctr");
   EXPECT_FALSE(domain.engine(0).hosts("ctr"));
   sim.run_for(kSecond);
@@ -216,7 +216,7 @@ TEST_F(Edge, UnhostedGroupStopsServingLocally) {
   cdr::Writer enc2;
   enc2.put_longlong(1);
   cdr::Bytes out =
-      domain.client(3).invoke_blocking("ctr", "incr", enc2.written());
+      domain.client(3).invoke("ctr", "incr", enc2.written()).get();
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 2);
 }
@@ -227,8 +227,8 @@ TEST_F(Edge, TwoGroupsSameServantTypeAreIndependent) {
   sim.run_for(kSecond);
   cdr::Writer enc;
   enc.put_longlong(5);
-  domain.client(3).invoke_blocking("a", "incr", enc.written());
-  cdr::Bytes out = domain.client(3).invoke_blocking("b", "get", {});
+  domain.client(3).invoke("a", "incr", enc.written()).get();
+  cdr::Bytes out = domain.client(3).invoke("b", "get", {}).get();
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 0);  // group b untouched
 }

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze.hpp"
+#include "obs/analyze.hpp"
 #include "obs/obs.hpp"
 #include "rep/domain.hpp"
 #include "soak/chaos.hpp"

@@ -149,10 +149,10 @@ TEST(TotemStress, HeavyLossStillConvergesAndOrders) {
   for (NodeId n : {1u, 2u, 3u}) {
     EXPECT_EQ(c.delivered[n], c.delivered[0]) << "node " << n;
   }
-  EXPECT_GT(c.fabric.node(0).stats().retransmissions +
-                c.fabric.node(1).stats().retransmissions +
-                c.fabric.node(2).stats().retransmissions +
-                c.fabric.node(3).stats().retransmissions,
+  EXPECT_GT(c.fabric.node(0).stats().retransmissions.value() +
+                c.fabric.node(1).stats().retransmissions.value() +
+                c.fabric.node(2).stats().retransmissions.value() +
+                c.fabric.node(3).stats().retransmissions.value(),
             0u);
 }
 

@@ -201,22 +201,5 @@ TEST_F(LoggerSpecTest, ComponentOverridesWithoutDefault) {
   EXPECT_FALSE(lg.enabled_for(LogLevel::Error, "engine"));
 }
 
-TEST(Histogram, Buckets) {
-  Histogram h(0, 10, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  h.add(-1);
-  h.add(100);
-  EXPECT_EQ(h.total(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bucket(i), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(3), 3.0);
-}
-
-TEST(Histogram, InvalidRangeThrows) {
-  EXPECT_THROW(Histogram(5, 5, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0, 10, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace eternal::util

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze.hpp"
+#include "obs/analyze.hpp"
 
 namespace fs = std::filesystem;
 
