@@ -77,12 +77,15 @@ void NodeDurability::cut_checkpoint(CheckpointRecord rec) {
   checkpoints_cut_.inc();
   // Compact below the minimum position any retained checkpoint (newest
   // *or* its fallback) could still ask to replay from. A group that
-  // journals but never checkpoints (cold-passive backups) pins the whole
-  // tape — it replays from scratch.
+  // journals but has no checkpoint (cold-passive backups, or any group
+  // before its first cut) pins the whole tape — it replays from scratch.
   const std::map<std::string, std::uint64_t> safe =
       checkpoints_.safe_positions();
   std::uint64_t keep_from = rec.position;
   for (const auto& [group, pos] : safe) keep_from = std::min(keep_from, pos);
+  for (const std::string& group : journal_.groups()) {
+    if (!safe.contains(group)) keep_from = 0;
+  }
   if (keep_from > 0) compacted_bytes_.inc(journal_.compact(keep_from));
   journal_.sync();
   write_meta();
@@ -105,7 +108,7 @@ void NodeDurability::write_meta() {
   encode_meta_record_into(w, m);
   Bytes framed;
   frame_append(framed, w.written());
-  disk_.write_file("meta", framed);
+  disk_.write_file(kMetaFile, framed);
 }
 
 void NodeDurability::on_crash(bool torn) {
@@ -124,18 +127,9 @@ RecoveredNode NodeDurability::recover() {
 
   // Meta file (may be absent or corrupt: floors then come from the
   // checkpoints and journal alone).
-  if (const sim::DiskBytes* data = disk_.read("meta")) {
-    std::size_t off = 0, len = 0;
-    if (frame_parse(*data, 0, off, len)) {
-      cdr::Decoder dec(
-          std::span<const std::uint8_t>(data->data() + off, len));
-      try {
-        const MetaRecord m = decode_meta_record(dec);
-        out.epoch_floor = m.max_epoch;
-        out.client_op_floor = m.client_next_op;
-      } catch (const cdr::MarshalError&) {
-      }
-    }
+  if (const std::optional<MetaRecord> m = read_meta(disk_)) {
+    out.epoch_floor = m->max_epoch;
+    out.client_op_floor = m->client_next_op;
   }
 
   // Newest valid checkpoint per group, with fallback.
@@ -163,8 +157,9 @@ RecoveredNode NodeDurability::recover() {
     out.groups.push_back(std::move(g));
   }
 
-  // Journal scan + per-group gating.
-  ScanResult scan = journal_.scan();
+  // The life's one journal scan, which also reopens the journal for
+  // appends at the next index; then per-group gating.
+  ScanResult scan = journal_.open();
   out.stats.records_scanned = scan.records.size();
   out.stats.tail_lost_bytes = scan.tail_lost_bytes;
   out.stats.journal_clean = scan.clean;
@@ -185,9 +180,6 @@ RecoveredNode NodeDurability::recover() {
       params_.replay_us_per_record * out.records.size();
   if (out.client_op_floor > 0) out.client_op_floor += kClientOpMargin;
 
-  // Reopen for the new life: append index continues past the scanned
-  // prefix, and the group-commit timer re-arms.
-  journal_.open();
   start();
   return out;
 }

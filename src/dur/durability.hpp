@@ -10,16 +10,20 @@
 // of tail: the documented durability window. Checkpoint cuts are driven
 // by the engine at group-consistent total-order boundaries; the manager
 // persists them, retires old versions, and compacts the journal below the
-// minimum position any retained checkpoint could still replay from.
+// minimum position any retained checkpoint could still replay from. A
+// group with journaled records but no retained checkpoint pins that
+// floor at 0. None of this reads the disk: the journal and checkpoint
+// store remember what they wrote.
 //
-// Recovery (`recover()`) is the node-local half of disaster recovery: it
+// Recovery (`recover()`) is the node-local half of disaster recovery and
+// the only time the durable files are parsed: it reads the meta file,
 // loads the newest valid checkpoint per group (falling back to the
-// previous on CRC failure), scans the journal's intact prefix, gates the
-// records each group still needs (index >= that group's checkpoint
-// position), and derives the identifier floors — ring epoch and client
-// op-id — that keep every identifier unique across the restart. The
-// orchestration half (rebuilding engines and replaying) lives in
-// ft/recovery.
+// previous on CRC failure), scans the journal's intact prefix once — the
+// same scan reopens the journal for appends — gates the records each
+// group still needs (index >= that group's checkpoint position), and
+// derives the identifier floors — ring epoch and client op-id — that keep
+// every identifier unique across the restart. The orchestration half
+// (rebuilding engines and replaying) lives in ft/recovery.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +127,8 @@ class NodeDurability {
   void close();
 
   /// Node-local recovery: load checkpoints, scan + gate the journal,
-  /// derive identifier floors. Leaves the journal open for appends at the
-  /// next index and re-arms the sync timer.
+  /// derive identifier floors. The scan is `Journal::open`, so the journal
+  /// is left open for appends at the next index; re-arms the sync timer.
   RecoveredNode recover();
 
  private:

@@ -5,43 +5,31 @@
 
 namespace eternal::dur {
 
-Journal::Journal(sim::Disk& disk, std::string file)
-    : disk_(disk), file_(std::move(file)) {
-  open();
-}
+namespace {
 
-void Journal::open() {
-  const ScanResult s = scan();
-  if (!s.clean) {
-    // Drop the corrupt tail before appending the new life's records —
-    // otherwise the next scan would stop at the old garbage forever.
-    disk_.truncate(file_, s.bytes_scanned);
-    disk_.sync(file_);
+/// Decode the single-frame file `name`, or nullopt when it is absent,
+/// torn, corrupt or not a `Record` payload.
+template <typename Record>
+std::optional<Record> read_framed(const sim::Disk& disk,
+                                  const std::string& name,
+                                  Record (*decode)(cdr::Decoder&)) {
+  const sim::DiskBytes* data = disk.read(name);
+  if (!data) return std::nullopt;
+  std::size_t off = 0, len = 0;
+  if (!frame_parse(*data, 0, off, len)) return std::nullopt;
+  cdr::Decoder dec(std::span<const std::uint8_t>(data->data() + off, len));
+  try {
+    return decode(dec);
+  } catch (const cdr::MarshalError&) {
+    return std::nullopt;
   }
-  next_index_ = s.records.empty() ? 0 : s.records.back().index + 1;
-  broken_ = false;
 }
 
-bool Journal::append(JournalRecord& rec) {
-  if (broken_) return false;
-  rec.index = next_index_;
-  cdr::Writer w;
-  encode_journal_record_into(w, rec);
-  scratch_.clear();
-  frame_append(scratch_, w.written());
-  if (!disk_.append(file_, scratch_)) {
-    broken_ = true;  // disk full: the journal stops, the engine keeps going
-    return false;
-  }
-  ++next_index_;
-  return true;
-}
+}  // namespace
 
-void Journal::sync() { disk_.sync(file_); }
-
-ScanResult Journal::scan() const {
+ScanResult scan_journal(const sim::Disk& disk) {
   ScanResult out;
-  const sim::DiskBytes* data = disk_.read(file_);
+  const sim::DiskBytes* data = disk.read(kJournalFile);
   if (!data) return out;
   std::size_t at = 0;
   while (at < data->size()) {
@@ -53,6 +41,7 @@ ScanResult Journal::scan() const {
     } catch (const cdr::MarshalError&) {
       break;  // frame intact but payload garbage: stop at the prefix
     }
+    out.offsets.push_back(at);
     at = off + len;
   }
   out.bytes_scanned = at;
@@ -61,19 +50,69 @@ ScanResult Journal::scan() const {
   return out;
 }
 
-std::size_t Journal::compact(std::uint64_t keep_from) {
-  const ScanResult s = scan();
-  if (s.records.empty() || s.records.front().index >= keep_from) return 0;
-  Bytes kept;
-  for (const JournalRecord& r : s.records) {
-    if (r.index < keep_from) continue;
-    cdr::Writer w;
-    encode_journal_record_into(w, r);
-    frame_append(kept, w.written());
+std::optional<CheckpointRecord> read_checkpoint(const sim::Disk& disk,
+                                                const std::string& file) {
+  return read_framed(disk, file, decode_checkpoint_record);
+}
+
+std::optional<MetaRecord> read_meta(const sim::Disk& disk) {
+  return read_framed(disk, kMetaFile, decode_meta_record);
+}
+
+Journal::Journal(sim::Disk& disk) : disk_(disk) {}
+
+ScanResult Journal::open() {
+  ScanResult s = scan_journal(disk_);
+  if (!s.clean) {
+    // Drop the corrupt tail before appending the new life's records —
+    // otherwise the next scan would stop at the old garbage forever.
+    disk_.truncate(kJournalFile, s.bytes_scanned);
+    disk_.sync(kJournalFile);
   }
-  const std::size_t before = disk_.size(file_);
-  if (!disk_.write_file(file_, kept)) return 0;
-  return before - kept.size();
+  entries_.clear();
+  groups_.clear();
+  for (std::size_t i = 0; i < s.records.size(); ++i) {
+    entries_.push_back({s.records[i].index, s.offsets[i]});
+    groups_.insert(s.records[i].group);
+  }
+  next_index_ = s.records.empty() ? 0 : s.records.back().index + 1;
+  broken_ = false;
+  return s;
+}
+
+bool Journal::append(JournalRecord& rec) {
+  if (broken_) return false;
+  rec.index = next_index_;
+  cdr::Writer w;
+  encode_journal_record_into(w, rec);
+  scratch_.clear();
+  frame_append(scratch_, w.written());
+  const std::size_t offset = disk_.size(kJournalFile);
+  if (!disk_.append(kJournalFile, scratch_)) {
+    broken_ = true;  // disk full: the journal stops, the engine keeps going
+    return false;
+  }
+  entries_.push_back({next_index_, offset});
+  groups_.insert(rec.group);
+  ++next_index_;
+  return true;
+}
+
+void Journal::sync() { disk_.sync(kJournalFile); }
+
+std::size_t Journal::compact(std::uint64_t keep_from) {
+  const auto first = std::find_if(
+      entries_.begin(), entries_.end(),
+      [keep_from](const Entry& e) { return e.index >= keep_from; });
+  if (first == entries_.begin()) return 0;
+  const sim::DiskBytes& data = *disk_.read(kJournalFile);
+  const std::size_t cut = first == entries_.end() ? data.size() : first->offset;
+  const sim::DiskBytes kept(data.begin() + static_cast<std::ptrdiff_t>(cut),
+                            data.end());
+  if (!disk_.write_file(kJournalFile, kept)) return 0;
+  entries_.erase(entries_.begin(), first);
+  for (Entry& e : entries_) e.offset -= cut;
+  return cut;
 }
 
 CheckpointStore::CheckpointStore(sim::Disk& disk) : disk_(disk) {}
@@ -91,34 +130,29 @@ bool CheckpointStore::save(const CheckpointRecord& rec) {
   encode_checkpoint_record_into(w, rec);
   Bytes framed;
   frame_append(framed, w.written());
-  if (!disk_.write_file(file_name(rec.group, rec.state_version), framed)) {
-    return false;
-  }
+  const std::string name = file_name(rec.group, rec.state_version);
+  if (!disk_.write_file(name, framed)) return false;
+  positions_[name] = rec.position;
   // Retire all but the two newest (names sort by zero-padded version).
   std::vector<std::string> files = disk_.list("ckpt-" + rec.group + "-");
   while (files.size() > 2) {
     disk_.remove(files.front());
+    positions_.erase(files.front());
     files.erase(files.begin());
   }
   return true;
 }
 
 std::optional<CheckpointRecord> CheckpointStore::load_file(
-    const std::string& name) const {
-  const sim::DiskBytes* data = disk_.read(name);
-  if (!data) return std::nullopt;
-  std::size_t off = 0, len = 0;
-  if (!frame_parse(*data, 0, off, len)) return std::nullopt;
-  cdr::Decoder dec(std::span<const std::uint8_t>(data->data() + off, len));
-  try {
-    return decode_checkpoint_record(dec);
-  } catch (const cdr::MarshalError&) {
-    return std::nullopt;
-  }
+    const std::string& name) {
+  std::optional<CheckpointRecord> rec = read_checkpoint(disk_, name);
+  positions_[name] =
+      rec ? std::optional<std::uint64_t>(rec->position) : std::nullopt;
+  return rec;
 }
 
 std::optional<CheckpointRecord> CheckpointStore::load_newest(
-    const std::string& group, std::size_t* fallbacks) const {
+    const std::string& group, std::size_t* fallbacks) {
   std::vector<std::string> files = disk_.list("ckpt-" + group + "-");
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
     if (auto rec = load_file(*it)) return rec;
@@ -138,7 +172,7 @@ std::vector<std::string> CheckpointStore::groups() const {
   return out;
 }
 
-std::map<std::string, std::uint64_t> CheckpointStore::safe_positions() const {
+std::map<std::string, std::uint64_t> CheckpointStore::safe_positions() {
   std::map<std::string, std::uint64_t> out;
   for (const std::string& group : groups()) {
     std::vector<std::string> files = disk_.list("ckpt-" + group + "-");
@@ -146,8 +180,10 @@ std::map<std::string, std::uint64_t> CheckpointStore::safe_positions() const {
       out[group] = 0;
       continue;
     }
-    const auto prev = load_file(files[files.size() - 2]);
-    out[group] = prev ? prev->position : 0;
+    // An earlier life's file is read once; later cuts use the memo.
+    const std::string& older = files[files.size() - 2];
+    if (!positions_.contains(older)) load_file(older);
+    out[group] = positions_.at(older).value_or(0);
   }
   return out;
 }

@@ -1,25 +1,36 @@
-// Write-ahead operation journal + checkpoint store over one sim::Disk.
+// Write-ahead operation journal + checkpoint store over one sim::Disk, and
+// the readers that are the only code parsing durable files.
 //
-// The journal is a single append-only file ("journal") of framed
+// The journal is a single append-only file (kJournalFile) of framed
 // JournalRecords. Appends buffer in the disk's unsynced tail; `sync`
 // extends the durable prefix (group commit — the engine's sync timer calls
 // it periodically, so a crash loses at most one sync interval of tail:
-// the documented durability window). `scan` walks the file frame by frame
-// and stops cleanly at the first truncated or CRC-corrupt frame, returning
-// the intact prefix plus forensic stats. `compact` rewrites the file
-// keeping only records at or above a threshold *absolute index* — record
-// indices are stored inside each record, so positions referenced by
-// checkpoints stay valid across compaction.
+// the documented durability window). `append` is the only code that frames
+// a journal record, and it remembers each retained record's byte offset.
+// `open` is the journal's one scan per life: it rebuilds that offset index
+// from the file's intact prefix and drops a corrupt tail. `compact` then
+// drops every record below a threshold *absolute index* as one byte range
+// at a known offset, without reading a record back — record indices are
+// stored inside each record, so positions referenced by checkpoints stay
+// valid across compaction.
 //
 // The checkpoint store keeps the two newest checkpoints per group as
 // atomic files ("ckpt-<group>-<version padded>"): the newest is what
 // recovery loads, the previous is the fallback when the newest fails its
-// CRC — the "missing newest checkpoint" corruption class.
+// CRC — the "missing newest checkpoint" corruption class. The store
+// remembers the journal position of every checkpoint it saves or reads,
+// so it reads a file left by an earlier life at most once.
+//
+// Steady state (append, sync, checkpoint cut) never parses the disk;
+// `scan_journal`, `read_checkpoint` and `read_meta` below do, for recovery
+// and for tools/recoverctl. They only read, so a damaged file stays as it
+// is for forensics.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,38 +39,57 @@
 
 namespace eternal::dur {
 
+inline constexpr char kJournalFile[] = "journal";
+inline constexpr char kMetaFile[] = "meta";
+
 struct ScanResult {
   std::vector<JournalRecord> records;  // intact prefix, file order
+  std::vector<std::size_t> offsets;    // byte offset of each record's frame
   std::size_t bytes_scanned = 0;       // bytes covered by intact frames
   std::size_t tail_lost_bytes = 0;     // bytes past the last intact frame
   bool clean = true;                   // false = scan stopped mid-file
 };
 
+/// Walk the journal frame by frame; stop cleanly at the first truncated or
+/// CRC-corrupt frame, returning the intact prefix plus forensic stats.
+ScanResult scan_journal(const sim::Disk& disk);
+/// One checkpoint file, or nullopt when absent, torn or corrupt.
+std::optional<CheckpointRecord> read_checkpoint(const sim::Disk& disk,
+                                                const std::string& file);
+/// The meta file, or nullopt when absent, torn or corrupt.
+std::optional<MetaRecord> read_meta(const sim::Disk& disk);
+
 class Journal {
  public:
-  explicit Journal(sim::Disk& disk, std::string file = "journal");
+  explicit Journal(sim::Disk& disk);
 
-  /// Re-derive the append index from the on-disk tail (after recovery or
-  /// construction over an existing file).
-  void open();
+  /// Scan the file once, truncate a corrupt tail, and resume appending at
+  /// the index after the intact prefix. Returns the scan.
+  ScanResult open();
 
   /// Frame and append one record; assigns the next absolute index into
   /// `rec.index`. Returns false (journal broken) when the disk is full.
   bool append(JournalRecord& rec);
   void sync();
 
-  ScanResult scan() const;
   /// Drop all records with index < keep_from (rewrites the file; already-
   /// durable suffix stays durable). Returns bytes reclaimed.
   std::size_t compact(std::uint64_t keep_from);
 
   std::uint64_t next_index() const noexcept { return next_index_; }
   bool broken() const noexcept { return broken_; }
-  const std::string& file() const noexcept { return file_; }
+  /// Groups named by a record appended in this life or found by `open`.
+  const std::set<std::string>& groups() const noexcept { return groups_; }
 
  private:
+  struct Entry {
+    std::uint64_t index = 0;
+    std::size_t offset = 0;  // frame start within the file
+  };
+
   sim::Disk& disk_;
-  std::string file_;
+  std::vector<Entry> entries_;  // retained records, file order
+  std::set<std::string> groups_;
   std::uint64_t next_index_ = 0;
   bool broken_ = false;  // disk-full hit: stop appending, keep serving
   Bytes scratch_;        // reusable frame-encode buffer
@@ -76,22 +106,26 @@ class CheckpointStore {
   /// Newest checkpoint for `group` that passes its CRC; falls back to the
   /// previous one (bumping `*fallbacks`) when the newest is corrupt.
   std::optional<CheckpointRecord> load_newest(const std::string& group,
-                                              std::size_t* fallbacks) const;
+                                              std::size_t* fallbacks);
 
   /// Groups that have at least one stored checkpoint.
   std::vector<std::string> groups() const;
 
   /// Per group, the journal position of the *older* retained checkpoint
-  /// (0 when only one exists) — the journal may be compacted to the
-  /// minimum of these without losing any fallback replay.
-  std::map<std::string, std::uint64_t> safe_positions() const;
+  /// (0 when only one exists or the older is unreadable) — the journal may
+  /// be compacted to the minimum of these without losing any fallback
+  /// replay.
+  std::map<std::string, std::uint64_t> safe_positions();
 
  private:
   static std::string file_name(const std::string& group,
                                std::uint64_t version);
-  std::optional<CheckpointRecord> load_file(const std::string& name) const;
+  std::optional<CheckpointRecord> load_file(const std::string& name);
 
   sim::Disk& disk_;
+  /// Journal position of each retained file this store saved or read;
+  /// nullopt = the file was read and is unreadable.
+  std::map<std::string, std::optional<std::uint64_t>> positions_;
 };
 
 }  // namespace eternal::dur

@@ -1,10 +1,15 @@
 // Durability subsystem unit tests: simulated-disk semantics, record
 // framing, journal corruption matrix (truncated tail / CRC flip / torn
-// mid-record / disk full) and checkpoint retention + fallback.
+// mid-record / disk full), checkpoint retention + fallback, and the
+// compaction floor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "dur/durability.hpp"
 #include "dur/journal.hpp"
 #include "dur/record.hpp"
+#include "obs/metrics.hpp"
 #include "sim/disk.hpp"
 
 namespace eternal::dur {
@@ -154,7 +159,7 @@ TEST(Journal, AppendScanRoundTrip) {
     EXPECT_EQ(r.index, i);
   }
   j.sync();
-  const ScanResult s = j.scan();
+  const ScanResult s = scan_journal(disk);
   EXPECT_TRUE(s.clean);
   EXPECT_EQ(s.tail_lost_bytes, 0u);
   ASSERT_EQ(s.records.size(), 5u);
@@ -176,7 +181,7 @@ TEST(Journal, TruncatedTailStopsCleanly) {
   // Chop mid-record: the scanner keeps the intact prefix. (A subsequent
   // open() would truncate the garbage — scan directly to observe it.)
   disk.truncate("journal", disk.size("journal") - 7);
-  const ScanResult s = j.scan();
+  const ScanResult s = scan_journal(disk);
   EXPECT_FALSE(s.clean);
   EXPECT_EQ(s.records.size(), 3u);
   EXPECT_GT(s.tail_lost_bytes, 0u);
@@ -195,7 +200,7 @@ TEST(Journal, CrcFlipStopsScanAtCorruptRecord) {
   j.sync();
   // Flip one byte inside record 3; records 0-2 stay readable.
   ASSERT_TRUE(disk.corrupt_byte("journal", boundary + 12));
-  const ScanResult s = j.scan();
+  const ScanResult s = scan_journal(disk);
   EXPECT_FALSE(s.clean);
   EXPECT_EQ(s.records.size(), 3u);
 }
@@ -222,7 +227,7 @@ TEST(Journal, TornCrashThenOpenTruncatesGarbageTail) {
   JournalRecord r = make_record(9, "g");
   ASSERT_TRUE(j2.append(r));
   j2.sync();
-  const ScanResult s = j2.scan();
+  const ScanResult s = scan_journal(disk);
   EXPECT_TRUE(s.clean);
   ASSERT_EQ(s.records.size(), 4u);
   EXPECT_EQ(s.records.back().index, 3u);
@@ -241,7 +246,7 @@ TEST(Journal, CompactKeepsAbsoluteIndices) {
   const std::size_t before = disk.size("journal");
   EXPECT_GT(j.compact(6), 0u);
   EXPECT_LT(disk.size("journal"), before);
-  const ScanResult s = j.scan();
+  const ScanResult s = scan_journal(disk);
   ASSERT_EQ(s.records.size(), 4u);
   EXPECT_EQ(s.records.front().index, 6u);
   EXPECT_EQ(j.next_index(), 10u);
@@ -259,7 +264,7 @@ TEST(Journal, DiskFullMarksBroken) {
   EXPECT_TRUE(j.broken());
   disk.set_full(false);
   j.sync();
-  EXPECT_EQ(j.scan().records.size(), 1u);
+  EXPECT_EQ(scan_journal(disk).records.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -329,6 +334,16 @@ TEST(CheckpointStore, SafePositionsTrackOlderRetained) {
   ASSERT_EQ(safe.size(), 2u);
   EXPECT_EQ(safe.at("a"), 5u);   // older of the two retained
   EXPECT_EQ(safe.at("b"), 0u);   // single checkpoint pins the whole tape
+  // A later life reads the files back: same answer, and an unreadable
+  // older checkpoint pins the whole tape too.
+  ASSERT_TRUE(store.save(make_checkpoint("c", 1, 3)));
+  ASSERT_TRUE(store.save(make_checkpoint("c", 2, 7)));
+  ASSERT_TRUE(disk.corrupt_byte(disk.list("ckpt-c-").front(), 10));
+  const auto reread = CheckpointStore(disk).safe_positions();
+  ASSERT_EQ(reread.size(), 3u);
+  EXPECT_EQ(reread.at("a"), 5u);
+  EXPECT_EQ(reread.at("b"), 0u);
+  EXPECT_EQ(reread.at("c"), 0u);
 }
 
 TEST(CheckpointStore, GroupNamesWithDashesParse) {
@@ -338,6 +353,93 @@ TEST(CheckpointStore, GroupNamesWithDashesParse) {
   const auto groups = store.groups();
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0], "multi-part-name");
+}
+
+// ---------------------------------------------------------------------------
+// Compaction floor
+// ---------------------------------------------------------------------------
+
+// A group with journaled records but no checkpoint replays from scratch,
+// so another group's cuts must not compact its records away.
+TEST(NodeDurability, UncheckpointedGroupPinsCompactionFloor) {
+  sim::Simulation sim(1);
+  sim::Disk disk;
+  NodeDurability life1(sim, disk, 0, DurParams{});
+  for (std::uint64_t i = 0; i < 5; ++i) life1.append(make_record(i, "b"));
+  for (std::uint64_t v = 1; v <= 3; ++v) {
+    life1.append(make_record(10 + v, "a"));
+    life1.cut_checkpoint(make_checkpoint("a", v, 0));
+  }
+  life1.close();
+
+  NodeDurability life2(sim, disk, 0, DurParams{});
+  const RecoveredNode rn = life2.recover();
+  const auto b_records =
+      std::count_if(rn.records.begin(), rn.records.end(),
+                    [](const JournalRecord& r) { return r.group == "b"; });
+  EXPECT_EQ(b_records, 5);
+}
+
+// Compaction drops a byte range without re-encoding: the journal holds
+// exactly the freshly framed records at or above the floor. A second
+// life over the same disk — reopened the attach way or through recover(),
+// so the first life's checkpoints are read back — compacts to the same
+// bytes.
+TEST(NodeDurability, CompactionKeepsExactlyTheFramedSuffix) {
+  constexpr std::uint64_t kRounds = 6, kPerRound = 3;
+  auto round = [](NodeDurability& d, std::uint64_t r) {
+    for (std::uint64_t k = 0; k < kPerRound; ++k) {
+      d.append(make_record(r * kPerRound + k, "a", 16 + k));
+    }
+    d.cut_checkpoint(make_checkpoint("a", r + 1, 0));
+  };
+  sim::Simulation sim(1);
+
+  sim::Disk disk;
+  NodeDurability one_life(sim, disk, 0, DurParams{});
+  for (std::uint64_t r = 0; r < kRounds; ++r) round(one_life, r);
+
+  // The floor is the older retained checkpoint's position: the cut after
+  // round kRounds - 2.
+  const std::uint64_t keep_from = (kRounds - 1) * kPerRound;
+  Bytes expected;
+  std::size_t appended = 0;
+  for (std::uint64_t i = 0; i < kRounds * kPerRound; ++i) {
+    JournalRecord rec = make_record(i, "a", 16 + i % kPerRound);
+    rec.index = i;
+    cdr::Writer w;
+    encode_journal_record_into(w, rec);
+    Bytes framed;
+    frame_append(framed, w.written());
+    appended += framed.size();
+    if (i >= keep_from) {
+      expected.insert(expected.end(), framed.begin(), framed.end());
+    }
+  }
+  ASSERT_NE(disk.read(kJournalFile), nullptr);
+  EXPECT_EQ(*disk.read(kJournalFile), expected);
+  EXPECT_EQ(
+      obs::Registry::global().counter("dur.compacted_bytes{node=0}").value(),
+      appended - expected.size());
+
+  for (const bool via_recover : {false, true}) {
+    sim::Disk split;
+    const sim::NodeId node = via_recover ? 2 : 1;
+    {
+      NodeDurability life1(sim, split, node, DurParams{});
+      for (std::uint64_t r = 0; r < kRounds / 2; ++r) round(life1, r);
+    }
+    NodeDurability life2(sim, split, node, DurParams{});
+    if (via_recover) {
+      life2.recover();
+    } else {
+      life2.journal().open();
+    }
+    for (std::uint64_t r = kRounds / 2; r < kRounds; ++r) round(life2, r);
+    ASSERT_NE(split.read(kJournalFile), nullptr);
+    EXPECT_EQ(*split.read(kJournalFile), expected)
+        << (via_recover ? "recover()" : "open()");
+  }
 }
 
 }  // namespace

@@ -261,6 +261,33 @@ TEST(Recovery, CheckpointsBoundJournalReplay) {
   EXPECT_EQ(c.incr(2, "counter", 1), 65);
 }
 
+// A quiet group that never reached its first checkpoint cut shares each
+// node's journal with a busy group that cuts and compacts. The quiet
+// group replays from scratch, so its acknowledged operations must
+// survive the busy group's compactions.
+TEST(Recovery, QuietGroupSurvivesBusyNeighbourCompaction) {
+  sim::DiskFarm farm(3);
+  dur::DurParams dp;
+  dp.checkpoint_interval = 8;
+  DurableCluster c(3, farm, 43, dp);
+  c.start();
+  c.rm.create_object<Counter>("quiet", actives(3), {{0, 1, 2}});
+  c.rm.create_object<Counter>("busy", actives(3), {{0, 1, 2}});
+  ASSERT_TRUE(c.converge());
+  for (int i = 0; i < 3; ++i) c.incr(0, "quiet", 1);
+  for (int i = 0; i < 40; ++i) c.incr(0, "busy", 1);
+  c.plane.sync_all();
+  c.kill({0, 1, 2}, /*torn=*/false);
+  c.sim.run_for(200 * kMillisecond);
+
+  c.rm.recover_domain();
+  ASSERT_TRUE(c.converge());
+  for (NodeId n : {0, 1, 2}) {
+    EXPECT_EQ(c.counter_value(n, "quiet"), 3) << "node " << n;
+    EXPECT_EQ(c.counter_value(n, "busy"), 40) << "node " << n;
+  }
+}
+
 // Nested operations (teller -> two account groups) survive a whole-domain
 // restart with money conserved.
 TEST(Recovery, NestedOperationsRecoverConsistently) {

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "cdr/cdr.hpp"
 #include "dur/journal.hpp"
 #include "dur/record.hpp"
 #include "sim/disk.hpp"
@@ -34,102 +33,18 @@ namespace fs = std::filesystem;
 
 namespace {
 
-using eternal::cdr::Bytes;
-
 int usage() {
   std::fprintf(stderr, "usage: recoverctl <inspect|verify> <farm-dir>...\n");
   return 2;
 }
 
-/// Scan a raw journal file image frame by frame (the read-only twin of
-/// Journal::scan — Journal's constructor would truncate the corrupt tail
-/// in its view, hiding exactly the forensics inspect must report).
-struct JournalScan {
-  std::vector<eternal::dur::JournalRecord> records;
-  std::size_t bytes = 0;
-  std::size_t tail_lost = 0;
-  bool clean = true;
-  bool indices_monotonic = true;
-};
-
-JournalScan scan_journal(const eternal::sim::Disk& disk) {
-  JournalScan out;
-  const eternal::sim::DiskBytes* data = disk.read("journal");
-  if (!data) return out;
-  std::size_t offset = 0;
-  while (offset < data->size()) {
-    std::size_t payload_offset = 0;
-    std::size_t payload_len = 0;
-    if (!eternal::dur::frame_parse(*data, offset, payload_offset,
-                                   payload_len)) {
-      out.clean = false;
-      break;
-    }
-    try {
-      eternal::cdr::Decoder dec(
-          {data->data() + payload_offset, payload_len});
-      out.records.push_back(eternal::dur::decode_journal_record(dec));
-    } catch (const eternal::cdr::MarshalError&) {
-      out.clean = false;
-      break;
-    }
-    offset = payload_offset + payload_len;
+/// Every record's index is one past its predecessor's (compaction keeps a
+/// suffix, appends continue it).
+bool indices_monotonic(const eternal::dur::ScanResult& scan) {
+  for (std::size_t i = 1; i < scan.records.size(); ++i) {
+    if (scan.records[i].index != scan.records[i - 1].index + 1) return false;
   }
-  out.bytes = offset;
-  out.tail_lost = data->size() - offset;
-  for (std::size_t i = 1; i < out.records.size(); ++i) {
-    if (out.records[i].index != out.records[i - 1].index + 1) {
-      out.indices_monotonic = false;
-    }
-  }
-  return out;
-}
-
-struct CheckpointFile {
-  std::string file;
-  bool valid = false;
-  eternal::dur::CheckpointRecord rec;
-};
-
-std::vector<CheckpointFile> scan_checkpoints(
-    const eternal::sim::Disk& disk) {
-  std::vector<CheckpointFile> out;
-  for (const std::string& name : disk.list("ckpt-")) {
-    CheckpointFile cf;
-    cf.file = name;
-    const eternal::sim::DiskBytes* data = disk.read(name);
-    std::size_t payload_offset = 0;
-    std::size_t payload_len = 0;
-    if (data &&
-        eternal::dur::frame_parse(*data, 0, payload_offset, payload_len)) {
-      try {
-        eternal::cdr::Decoder dec(
-            {data->data() + payload_offset, payload_len});
-        cf.rec = eternal::dur::decode_checkpoint_record(dec);
-        cf.valid = true;
-      } catch (const eternal::cdr::MarshalError&) {
-      }
-    }
-    out.push_back(std::move(cf));
-  }
-  return out;
-}
-
-bool read_meta(const eternal::sim::Disk& disk, eternal::dur::MetaRecord& m) {
-  const eternal::sim::DiskBytes* data = disk.read("meta");
-  std::size_t payload_offset = 0;
-  std::size_t payload_len = 0;
-  if (!data ||
-      !eternal::dur::frame_parse(*data, 0, payload_offset, payload_len)) {
-    return false;
-  }
-  try {
-    eternal::cdr::Decoder dec({data->data() + payload_offset, payload_len});
-    m = eternal::dur::decode_meta_record(dec);
-    return true;
-  } catch (const eternal::cdr::MarshalError&) {
-    return false;
-  }
+  return true;
 }
 
 std::vector<std::string> node_dirs(const std::string& farm_dir) {
@@ -169,9 +84,11 @@ int run_farm(const std::string& farm_dir, bool verify,
       return 2;
     }
 
-    const JournalScan js = scan_journal(disk);
+    // The shared read-only scan: Journal::open would truncate a corrupt
+    // tail, hiding exactly the forensics inspect must report.
+    const eternal::dur::ScanResult js = eternal::dur::scan_journal(disk);
     std::printf("  %s: journal %zu record(s), %zu bytes", node.c_str(),
-                js.records.size(), js.bytes);
+                js.records.size(), js.bytes_scanned);
     if (!js.records.empty()) {
       std::printf(", indices %llu..%llu",
                   static_cast<unsigned long long>(js.records.front().index),
@@ -179,19 +96,18 @@ int run_farm(const std::string& farm_dir, bool verify,
     }
     if (!js.clean) {
       std::printf("  [warn: scan stopped, %zu tail byte(s) lost]",
-                  js.tail_lost);
+                  js.tail_lost_bytes);
     }
     std::printf("\n");
-    if (!js.indices_monotonic) {
+    if (!indices_monotonic(js)) {
       ++violations;
       std::printf("    VIOLATION: journal indices not monotonic\n");
     }
 
-    eternal::dur::MetaRecord meta;
-    if (read_meta(disk, meta)) {
+    if (const auto meta = eternal::dur::read_meta(disk)) {
       std::printf("    meta: max_epoch=%llu client_next_op=%llu\n",
-                  static_cast<unsigned long long>(meta.max_epoch),
-                  static_cast<unsigned long long>(meta.client_next_op));
+                  static_cast<unsigned long long>(meta->max_epoch),
+                  static_cast<unsigned long long>(meta->client_next_op));
     } else {
       std::printf("    meta: absent  [warn: identifier floors fall back to "
                   "checkpoints + journal scan]\n");
@@ -204,51 +120,48 @@ int run_farm(const std::string& farm_dir, bool verify,
 
     // Newest valid checkpoint per group on this node (for the replayable
     // and divergence checks); every file still gets its own report line.
-    std::map<std::string, const CheckpointFile*> newest;
-    const std::vector<CheckpointFile> ckpts = scan_checkpoints(disk);
-    for (const CheckpointFile& cf : ckpts) {
-      if (!cf.valid) {
+    std::map<std::string, eternal::dur::CheckpointRecord> newest;
+    for (const std::string& file : disk.list("ckpt-")) {
+      const auto rec = eternal::dur::read_checkpoint(disk, file);
+      if (!rec) {
         std::printf("    %s: [warn: corrupt — recovery falls back]\n",
-                    cf.file.c_str());
+                    file.c_str());
         continue;
       }
       std::printf(
           "    %s: version=%llu digest=%llu position=%llu blob=%zuB\n",
-          cf.file.c_str(),
-          static_cast<unsigned long long>(cf.rec.state_version),
-          static_cast<unsigned long long>(cf.rec.digest),
-          static_cast<unsigned long long>(cf.rec.position),
-          cf.rec.blob.size());
-      const CheckpointFile*& slot = newest[cf.rec.group];
-      if (!slot || cf.rec.state_version > slot->rec.state_version) {
-        slot = &cf;
+          file.c_str(), static_cast<unsigned long long>(rec->state_version),
+          static_cast<unsigned long long>(rec->digest),
+          static_cast<unsigned long long>(rec->position), rec->blob.size());
+      auto [slot, fresh] = newest.try_emplace(rec->group, *rec);
+      if (!fresh && rec->state_version > slot->second.state_version) {
+        slot->second = *rec;
       }
       auto [it, inserted] = digests.try_emplace(
-          {cf.rec.group, cf.rec.state_version},
-          std::make_pair(cf.rec.digest, node_dir));
-      if (!inserted && it->second.first != cf.rec.digest) {
+          {rec->group, rec->state_version},
+          std::make_pair(rec->digest, node_dir));
+      if (!inserted && it->second.first != rec->digest) {
         ++violations;
         std::printf("    VIOLATION: %s version %llu digest %llu disagrees "
                     "with %s (digest %llu)\n",
-                    cf.rec.group.c_str(),
-                    static_cast<unsigned long long>(cf.rec.state_version),
-                    static_cast<unsigned long long>(cf.rec.digest),
+                    rec->group.c_str(),
+                    static_cast<unsigned long long>(rec->state_version),
+                    static_cast<unsigned long long>(rec->digest),
                     it->second.second.c_str(),
                     static_cast<unsigned long long>(it->second.first));
       }
     }
-    for (const auto& [group, cf] : newest) {
-      // Replay resumes at cf->rec.position: compaction must not have
+    for (const auto& [group, rec] : newest) {
+      // Replay resumes at rec.position: compaction must not have
       // reclaimed past it, and the journal must reach it (an empty suffix
       // is fine — the checkpoint IS the state).
-      if (cf->rec.position > journal_end ||
-          (cf->rec.position < journal_end &&
-           cf->rec.position < journal_begin)) {
+      if (rec.position > journal_end ||
+          (rec.position < journal_end && rec.position < journal_begin)) {
         ++violations;
         std::printf("    VIOLATION: %s newest checkpoint resumes at %llu "
                     "but journal holds [%llu, %llu)\n",
                     group.c_str(),
-                    static_cast<unsigned long long>(cf->rec.position),
+                    static_cast<unsigned long long>(rec.position),
                     static_cast<unsigned long long>(journal_begin),
                     static_cast<unsigned long long>(journal_end));
       }
