@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 namespace eternal::dur {
 
@@ -115,14 +116,50 @@ std::size_t Journal::compact(std::uint64_t keep_from) {
   return cut;
 }
 
+namespace {
+
+constexpr std::string_view kCheckpointPrefix = "ckpt-";
+constexpr std::size_t kVersionTail = 21;  // "-" + 20 zero-padded digits
+
+/// The group of a checkpoint file named "ckpt-<group>-<20-digit version>",
+/// parsed from the right because group names may contain dashes; nullopt
+/// for any other name.
+std::optional<std::string> checkpoint_group(const std::string& name) {
+  if (name.size() < kCheckpointPrefix.size() + 1 + kVersionTail ||
+      !name.starts_with(kCheckpointPrefix)) {
+    return std::nullopt;
+  }
+  const std::size_t dash = name.size() - kVersionTail;
+  if (name[dash] != '-') return std::nullopt;
+  for (std::size_t i = dash + 1; i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return std::nullopt;
+  }
+  return name.substr(kCheckpointPrefix.size(),
+                     dash - kCheckpointPrefix.size());
+}
+
+}  // namespace
+
 CheckpointStore::CheckpointStore(sim::Disk& disk) : disk_(disk) {}
+
+std::vector<std::string> CheckpointStore::files_of(
+    const std::string& group) const {
+  // The prefix also matches groups that extend `group` with a dash ("a"
+  // vs "a-b"); keep only the files whose parsed group is exactly `group`.
+  std::vector<std::string> files =
+      disk_.list(std::string(kCheckpointPrefix) + group + "-");
+  std::erase_if(files, [&](const std::string& name) {
+    return checkpoint_group(name) != group;
+  });
+  return files;
+}
 
 std::string CheckpointStore::file_name(const std::string& group,
                                        std::uint64_t version) {
   char tail[40];
   std::snprintf(tail, sizeof tail, "-%020llu",
                 static_cast<unsigned long long>(version));
-  return "ckpt-" + group + tail;
+  return std::string(kCheckpointPrefix) + group + tail;
 }
 
 bool CheckpointStore::save(const CheckpointRecord& rec) {
@@ -134,7 +171,7 @@ bool CheckpointStore::save(const CheckpointRecord& rec) {
   if (!disk_.write_file(name, framed)) return false;
   positions_[name] = rec.position;
   // Retire all but the two newest (names sort by zero-padded version).
-  std::vector<std::string> files = disk_.list("ckpt-" + rec.group + "-");
+  std::vector<std::string> files = files_of(rec.group);
   while (files.size() > 2) {
     disk_.remove(files.front());
     positions_.erase(files.front());
@@ -153,7 +190,7 @@ std::optional<CheckpointRecord> CheckpointStore::load_file(
 
 std::optional<CheckpointRecord> CheckpointStore::load_newest(
     const std::string& group, std::size_t* fallbacks) {
-  std::vector<std::string> files = disk_.list("ckpt-" + group + "-");
+  std::vector<std::string> files = files_of(group);
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
     if (auto rec = load_file(*it)) return rec;
     if (fallbacks) ++*fallbacks;
@@ -163,11 +200,10 @@ std::optional<CheckpointRecord> CheckpointStore::load_newest(
 
 std::vector<std::string> CheckpointStore::groups() const {
   std::vector<std::string> out;
-  for (const std::string& name : disk_.list("ckpt-")) {
-    // "ckpt-<group>-<20-digit version>"
-    if (name.size() < 5 + 1 + 21) continue;
-    const std::string group = name.substr(5, name.size() - 5 - 21);
-    if (out.empty() || out.back() != group) out.push_back(group);
+  std::set<std::string> seen;
+  for (const std::string& name : disk_.list(std::string(kCheckpointPrefix))) {
+    std::optional<std::string> group = checkpoint_group(name);
+    if (group && seen.insert(*group).second) out.push_back(std::move(*group));
   }
   return out;
 }
@@ -175,7 +211,7 @@ std::vector<std::string> CheckpointStore::groups() const {
 std::map<std::string, std::uint64_t> CheckpointStore::safe_positions() {
   std::map<std::string, std::uint64_t> out;
   for (const std::string& group : groups()) {
-    std::vector<std::string> files = disk_.list("ckpt-" + group + "-");
+    std::vector<std::string> files = files_of(group);
     if (files.size() < 2) {
       out[group] = 0;
       continue;

@@ -121,6 +121,8 @@ class CheckpointStore {
   static std::string file_name(const std::string& group,
                                std::uint64_t version);
   std::optional<CheckpointRecord> load_file(const std::string& name);
+  /// `group`'s checkpoint files, oldest version first.
+  std::vector<std::string> files_of(const std::string& group) const;
 
   sim::Disk& disk_;
   /// Journal position of each retained file this store saved or read;

@@ -355,6 +355,29 @@ TEST(CheckpointStore, GroupNamesWithDashesParse) {
   EXPECT_EQ(groups[0], "multi-part-name");
 }
 
+// A group whose name extends another's with a dash ("a-b" vs "a") shares
+// the other's file-name prefix; each group must still see only its own
+// files when retiring, loading and computing compaction floors.
+TEST(CheckpointStore, GroupPrefixDoesNotMatchDashedNeighbour) {
+  sim::Disk disk;
+  CheckpointStore store(disk);
+  ASSERT_TRUE(store.save(make_checkpoint("a-b", 1, 3)));
+  ASSERT_TRUE(store.save(make_checkpoint("a-b", 2, 5)));
+  ASSERT_TRUE(store.save(make_checkpoint("a", 7, 9)));
+
+  EXPECT_EQ(disk.list().size(), 3u);  // nothing of either group retired
+  const auto a = store.load_newest("a", nullptr);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->group, "a");
+  EXPECT_EQ(a->state_version, 7u);
+  const auto ab = store.load_newest("a-b", nullptr);
+  ASSERT_TRUE(ab.has_value());
+  EXPECT_EQ(ab->state_version, 2u);
+  EXPECT_EQ(store.groups(), (std::vector<std::string>{"a", "a-b"}));
+  EXPECT_EQ(store.safe_positions(),
+            (std::map<std::string, std::uint64_t>{{"a", 0}, {"a-b", 3}}));
+}
+
 // ---------------------------------------------------------------------------
 // Compaction floor
 // ---------------------------------------------------------------------------
