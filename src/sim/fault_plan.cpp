@@ -6,14 +6,14 @@
 namespace eternal::sim {
 
 FaultPlan& FaultPlan::crash_at(Time t, NodeId node) {
-  steps_.push_back({t, "crash node " + std::to_string(node),
-                    [this, node] { net_.crash(node); }});
+  steps_.push_back(
+      {t, "crash node " + std::to_string(node), Action::Crash, node, {}});
   return *this;
 }
 
 FaultPlan& FaultPlan::recover_at(Time t, NodeId node) {
-  steps_.push_back({t, "recover node " + std::to_string(node),
-                    [this, node] { net_.recover(node); }});
+  steps_.push_back(
+      {t, "recover node " + std::to_string(node), Action::Recover, node, {}});
   return *this;
 }
 
@@ -28,27 +28,30 @@ FaultPlan& FaultPlan::partition_at(Time t,
     }
     label << "}";
   }
-  steps_.push_back({t, label.str(), [this, comps = std::move(comps)] {
-                      net_.set_partitions(comps);
-                    }});
+  steps_.push_back(
+      {t, label.str(), Action::Partition, 0, std::move(comps)});
   return *this;
 }
 
 FaultPlan& FaultPlan::heal_at(Time t) {
-  steps_.push_back({t, "heal partitions", [this] { net_.heal_partitions(); }});
-  return *this;
-}
-
-FaultPlan& FaultPlan::action_at(Time t, std::function<void()> fn) {
-  steps_.push_back({t, "scripted action", std::move(fn)});
+  steps_.push_back({t, "heal partitions", Action::Heal, 0, {}});
   return *this;
 }
 
 void FaultPlan::arm() {
   if (armed_) throw std::logic_error("FaultPlan armed twice");
   armed_ = true;
-  for (auto& s : steps_) {
-    net_.simulation().at(s.time, s.fn);
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    net_.simulation().at(steps_[i].time, [this, i] { apply(steps_[i]); });
+  }
+}
+
+void FaultPlan::apply(const Step& s) {
+  switch (s.action) {
+    case Action::Crash: net_.crash(s.node); break;
+    case Action::Recover: net_.recover(s.node); break;
+    case Action::Partition: net_.set_partitions(s.components); break;
+    case Action::Heal: net_.heal_partitions(); break;
   }
 }
 

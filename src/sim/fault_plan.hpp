@@ -6,7 +6,6 @@
 // simulated times.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,8 +21,6 @@ class FaultPlan {
   FaultPlan& recover_at(Time t, NodeId node);
   FaultPlan& partition_at(Time t, std::vector<std::vector<NodeId>> components);
   FaultPlan& heal_at(Time t);
-  /// Arbitrary scripted action (e.g. change loss rate mid-run).
-  FaultPlan& action_at(Time t, std::function<void()> fn);
 
   /// Schedule every recorded action on the simulation. Call once.
   void arm();
@@ -32,11 +29,16 @@ class FaultPlan {
   std::string describe() const;
 
  private:
+  enum class Action { Crash, Recover, Partition, Heal };
   struct Step {
-    Time time;
+    Time time = 0;
     std::string label;
-    std::function<void()> fn;
+    Action action = Action::Heal;
+    NodeId node = 0;                              // Crash, Recover
+    std::vector<std::vector<NodeId>> components;  // Partition
   };
+  void apply(const Step& s);
+
   Network& net_;
   std::vector<Step> steps_;
   bool armed_ = false;

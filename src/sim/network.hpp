@@ -109,7 +109,6 @@ class Network {
   /// datagrams are dropped when a block forms, as with partitions.
   void block_link(NodeId from, NodeId to);
   void unblock_link(NodeId from, NodeId to);
-  void clear_blocked_links() { blocked_.clear(); }
   bool link_blocked(NodeId from, NodeId to) const {
     return blocked_.count({from, to}) != 0;
   }

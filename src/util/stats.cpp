@@ -38,14 +38,6 @@ double Summary::mean() const {
   return sum / static_cast<double>(samples_.size());
 }
 
-double Summary::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0;
-  for (double v : samples_) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-}
-
 double Summary::percentile(double p) const {
   if (samples_.empty()) throw std::logic_error("Summary::percentile on empty");
   ensure_sorted();

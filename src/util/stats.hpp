@@ -26,7 +26,6 @@ class Summary {
   double min() const;
   double max() const;
   double mean() const;
-  double stddev() const;
   /// p in [0,100]; nearest-rank percentile.
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
