@@ -6,6 +6,7 @@
 #include <map>
 
 #include "giop/giop.hpp"
+#include "harness.hpp"
 #include "obs/obs.hpp"
 #include "rep/oracle.hpp"
 #include "rep/wire.hpp"
@@ -205,6 +206,36 @@ void BM_DeliverDrain(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * batch));
 }
 BENCHMARK(BM_DeliverDrain)->Arg(16)->Arg(64);
+
+// Wall-clock cost of the simulator's event core on a token-visit-shaped
+// mix: per visit, one frame delivery (a closure the size of the network's,
+// carrying a 272-byte WireBuf) is scheduled and fires, and a retransmit
+// and a token-loss timer are armed and then cancelled by the next visit.
+// Reports ns per scheduled event and heap allocations per event.
+void BM_SimScheduleCancelStep(benchmark::State& state) {
+  sim::Simulation sim(1);
+  const cdr::WireBuf frame(cdr::Bytes(64, 0xAB));
+  std::uint64_t sink = 0;
+  sim::TimerHandle retransmit;
+  sim::TimerHandle loss;
+  const bench::AllocWindow allocs;
+  for (auto _ : state) {
+    retransmit.cancel();
+    loss.cancel();
+    sim.after(10, [&sink, from = sim::NodeId{0}, to = sim::NodeId{1},
+                   payload = frame] { sink += payload.size() + from + to; });
+    retransmit = sim.after(50, [&sink] { ++sink; });
+    loss = sim.after(100, [&sink] { ++sink; });
+    sim.step();
+  }
+  benchmark::DoNotOptimize(sink);
+  const std::uint64_t events = 3 * state.iterations();
+  state.counters["ns_per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["allocs_per_event"] = allocs.per_op(events);
+}
+BENCHMARK(BM_SimScheduleCancelStep);
 
 void BM_FtRequestContext(benchmark::State& state) {
   giop::FtRequestContext ctx;

@@ -55,8 +55,7 @@ void Network::deliver(NodeId from, NodeId to, const Frame& data) {
   // Capture the frame in the delivery closure: a slab refcount bump (or a
   // 256-byte inline copy) keeps the bytes alive until the handler runs,
   // potentially after the sender's arena has moved on.
-  sim_.after(transit_time(from, to, data.size()), [this, from, to,
-                                                   payload = data] {
+  auto arrive = [this, from, to, payload = data] {
     // Partition/crash/block state is re-checked at delivery: messages in
     // flight when a partition or directed block forms, or when the receiver
     // dies, are lost, as on a real LAN.
@@ -72,7 +71,11 @@ void Network::deliver(NodeId from, NodeId to, const Frame& data) {
       ++stats_.datagrams_delivered;
       handlers_[to](from, payload);
     }
-  });
+  };
+  // Every datagram is one of these; it must fit an event slot's inline
+  // storage or each delivery pays a heap allocation.
+  static_assert(sizeof(arrive) <= Simulation::kInlineClosure);
+  sim_.after(transit_time(from, to, data.size()), std::move(arrive));
 }
 
 void Network::unicast(NodeId from, NodeId to, Frame data) {

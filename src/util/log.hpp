@@ -15,8 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace eternal::util {
 
@@ -47,9 +50,20 @@ class Logger {
   /// logger untouched and return false.
   bool configure(const std::string& spec);
 
-  /// Install a source for timestamps (simulated microseconds). May be empty.
-  void set_time_source(std::function<std::uint64_t()> src) {
-    time_source_ = std::move(src);
+  /// Install `owner`'s source for timestamps (simulated microseconds).
+  /// Sources stack: lines carry the newest installed source still present,
+  /// so a simulation that ends inside another's lifetime hands the clock
+  /// back to the outer one instead of leaving the logger without a clock.
+  void push_time_source(const void* owner,
+                        std::function<std::uint64_t()> src) {
+    time_sources_.push_back({owner, std::move(src)});
+  }
+  /// Remove `owner`'s source, wherever it sits in the stack.
+  void drop_time_source(const void* owner) noexcept;
+  /// The current source's reading; nullopt when no source is installed.
+  std::optional<std::uint64_t> timestamp() const {
+    if (time_sources_.empty()) return std::nullopt;
+    return time_sources_.back().second();
   }
 
   void write(LogLevel lvl, const std::string& component, const std::string& msg);
@@ -61,7 +75,8 @@ class Logger {
   LogLevel level_ = LogLevel::Off;
   LogLevel min_level_ = LogLevel::Off;  // min over default + overrides
   std::map<std::string, LogLevel> component_levels_;
-  std::function<std::uint64_t()> time_source_;
+  std::vector<std::pair<const void*, std::function<std::uint64_t()>>>
+      time_sources_;
 };
 
 namespace detail {

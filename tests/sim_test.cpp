@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/fault_plan.hpp"
@@ -100,6 +104,189 @@ TEST(Simulation, DeterministicReplay) {
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_NE(run(5), run(6));
+}
+
+// --- handle semantics of the pooled event core ---------------------------
+
+TEST(Simulation, StaleHandleCannotTouchReusedSlot) {
+  Simulation sim;
+  int fired_a = 0;
+  int fired_b = 0;
+  TimerHandle a = sim.at(10, [&] { ++fired_a; });
+  const TimerHandle stale = a;
+  a.cancel();
+  // The next event takes the slot `a` just freed; the stale copy of `a`'s
+  // handle must neither observe nor cancel it.
+  TimerHandle b = sim.at(20, [&] { ++fired_b; });
+  EXPECT_FALSE(stale.active());
+  EXPECT_TRUE(b.active());
+  TimerHandle stale_copy = stale;
+  stale_copy.cancel();
+  EXPECT_TRUE(b.active());
+  sim.run();
+  EXPECT_EQ(fired_a, 0);
+  EXPECT_EQ(fired_b, 1);
+
+  // Same after a fire: the fired event's handle is stale once the slot is
+  // reused.
+  TimerHandle fired = sim.at(30, [] {});
+  sim.run();
+  TimerHandle next = sim.at(40, [&] { ++fired_b; });
+  EXPECT_FALSE(fired.active());
+  fired.cancel();
+  EXPECT_TRUE(next.active());
+  sim.run();
+  EXPECT_EQ(fired_b, 2);
+}
+
+TEST(Simulation, CancelTwiceAndCancelAfterFireAreNoOps) {
+  Simulation sim;
+  int count = 0;
+  TimerHandle h = sim.at(10, [&] { ++count; });
+  TimerHandle copy = h;
+  h.cancel();
+  h.cancel();
+  copy.cancel();
+  EXPECT_FALSE(h.active());
+  EXPECT_FALSE(copy.active());
+  TimerHandle later = sim.at(20, [&] { ++count; });
+  sim.run();
+  EXPECT_EQ(count, 1);
+  later.cancel();
+  later.cancel();
+  EXPECT_FALSE(later.active());
+  sim.at(30, [&] { ++count; });
+  sim.run();
+  EXPECT_EQ(count, 2);
+}
+
+TEST(Simulation, MovedFromHandleIsEmpty) {
+  Simulation sim;
+  bool fired = false;
+  TimerHandle a = sim.at(10, [&] { fired = true; });
+  TimerHandle b = std::move(a);
+  EXPECT_FALSE(a.active());
+  a.cancel();  // no-op: `a` no longer names the event
+  EXPECT_TRUE(b.active());
+  sim.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Simulation, HandleInactiveInsideItsOwnClosure) {
+  Simulation sim;
+  TimerHandle h;
+  bool active_inside = true;
+  std::vector<int> kept;
+  h = sim.at(10, [&h, &active_inside, &kept,
+                  captured = std::vector<int>{1, 2, 3}] {
+    active_inside = h.active();
+    // Cancelling the running event is a no-op: its closure (and what it
+    // captured) lives until it returns.
+    h.cancel();
+    kept = captured;
+  });
+  sim.run();
+  EXPECT_FALSE(active_inside);
+  EXPECT_EQ(kept, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulation, MassCancellationKeepsTimeThenFifoOrder) {
+  Simulation sim;
+  std::vector<std::pair<Time, int>> order;
+  std::vector<TimerHandle> handles;
+  for (int i = 0; i < 1000; ++i) {
+    const Time t = 100 + static_cast<Time>((i * 7) % 10);
+    handles.push_back(sim.at(t, [&order, &sim, i] {
+      order.push_back({sim.now(), i});
+    }));
+  }
+  // Cancel nine in ten: cancelled entries soon outnumber live ones, so the
+  // heap is compacted (repeatedly) underneath the survivors.
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 10 != 0) handles[static_cast<std::size_t>(i)].cancel();
+  }
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(handles[static_cast<std::size_t>(i)].active(), i % 10 == 0);
+  }
+  sim.run();
+  ASSERT_EQ(order.size(), 100u);
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    EXPECT_TRUE(order[k - 1].first < order[k].first ||
+                (order[k - 1].first == order[k].first &&
+                 order[k - 1].second < order[k].second))
+        << "at " << k;
+  }
+}
+
+TEST(Simulation, ClosureLargerThanInlineStorageRunsAndIsFreed) {
+  Simulation sim;
+  auto token = std::make_shared<int>(0);
+  std::array<std::uint8_t, Simulation::kInlineClosure + 64> big{};
+  big[0] = 7;
+  int seen = 0;
+  sim.at(10, [&seen, big, token] { seen = big[0] + *token; });
+  TimerHandle cancelled = sim.at(20, [big, token] { (void)big; });
+  EXPECT_EQ(token.use_count(), 3);
+  cancelled.cancel();
+  EXPECT_EQ(token.use_count(), 2);  // freed at cancel, not at pop
+  sim.run();
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(token.use_count(), 1);  // freed once it ran
+}
+
+TEST(Simulation, PendingClosuresDieWithTheSimulation) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulation sim;
+    sim.at(10, [token] {});
+    std::array<std::uint8_t, Simulation::kInlineClosure + 1> big{};
+    sim.at(20, [token, big] { (void)big; });
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulation, CancelledDeliveryReleasesItsSlabAtOnce) {
+  Simulation sim;
+  cdr::SlabPool& pool = cdr::SlabPool::global();
+  const std::size_t baseline = pool.live();
+  TimerHandle h;
+  {
+    const Frame payload(Bytes(2 * Frame::kInlineCapacity, 0x42));
+    ASSERT_FALSE(payload.inline_storage());
+    // Shaped like Network::deliver's closure, which must stay inline.
+    h = sim.after(100, [net = static_cast<Network*>(nullptr), from = NodeId{0},
+                        to = NodeId{1}, payload] {
+      (void)net, (void)from, (void)to, (void)payload;
+    });
+  }
+  EXPECT_EQ(pool.live(), baseline + 1);  // the pending closure holds it
+  h.cancel();
+  EXPECT_EQ(pool.live(), baseline);
+  sim.run();
+}
+
+TEST(Simulation, NestedSimulationHandsLoggerClockBack) {
+  util::Logger& log = util::Logger::instance();
+  Simulation outer;
+  outer.run_until(500);
+  EXPECT_EQ(log.timestamp(), std::optional<std::uint64_t>(500));
+  {
+    Simulation inner;
+    inner.run_until(7);
+    EXPECT_EQ(log.timestamp(), std::optional<std::uint64_t>(7));
+  }
+  EXPECT_EQ(log.timestamp(), std::optional<std::uint64_t>(500));
+
+  // Lifetimes need not nest: ending the older of two live simulations
+  // leaves the newer one's clock in place.
+  auto first = std::make_unique<Simulation>();
+  auto second = std::make_unique<Simulation>();
+  second->run_until(42);
+  first.reset();
+  EXPECT_EQ(log.timestamp(), std::optional<std::uint64_t>(42));
+  second.reset();
+  EXPECT_EQ(log.timestamp(), std::optional<std::uint64_t>(500));
 }
 
 /// Builds a Frame from literal bytes (Frame is an immutable WireBuf now).
