@@ -5,6 +5,8 @@
 
 #include <map>
 
+#include "dur/record.hpp"
+#include "ft/recovery.hpp"
 #include "giop/giop.hpp"
 #include "harness.hpp"
 #include "obs/obs.hpp"
@@ -236,6 +238,73 @@ void BM_SimScheduleCancelStep(benchmark::State& state) {
   state.counters["allocs_per_event"] = allocs.per_op(events);
 }
 BENCHMARK(BM_SimScheduleCancelStep);
+
+// Throughput of the durable-frame CRC-32 (slicing by 8) on a journal-record
+// sized buffer and on a checkpoint-sized one.
+void BM_Crc32(benchmark::State& state) {
+  const cdr::Bytes data(static_cast<std::size_t>(state.range(0)), 0x5A);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dur::crc32(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(256 << 10);
+
+// Wall-clock cost of one durable checkpoint cut of a Counter group whose
+// reply log holds 8k entries: the engine encodes its three tiers into the
+// framed record, the store CRCs it, copies it into the simulated disk and
+// retires the older version, and the journal is compacted below it. One
+// operation between cuts (untimed, its allocations not counted) gives each
+// cut a new version, as in a running group. Reports ns and heap
+// allocations per cut.
+void BM_CheckpointSave(benchmark::State& state) {
+  constexpr int kEntries = 8192;
+  constexpr int kWindow = 32;
+  rep::EngineParams ep;
+  ep.reply_log_capacity = kEntries;  // the log stays at 8k entries
+  bench::FtCluster c(2, /*seed=*/1, ep);
+  sim::DiskFarm farm(2);
+  dur::DurParams dp;
+  dp.checkpoint_interval = 0;  // cut only when asked
+  ft::DurabilityPlane plane(c.domain, farm, dp);
+  c.rm.set_durability_plane(&plane);
+  plane.attach_all();
+  ft::Properties props;
+  props.replication_style = rep::Style::Active;
+  props.initial_number_replicas = 1;
+  props.minimum_number_replicas = 1;
+  c.rm.create_object<app::Counter>("ctr", props, {{0}});
+  c.settle();
+  const cdr::Bytes arg = bench::i64_arg(1);
+  rep::Client& client = c.domain.client(1);
+  for (int i = 0; i < kEntries; i += kWindow) {
+    std::vector<rep::Invocation> window;
+    for (int k = 0; k < kWindow; ++k) {
+      window.push_back(client.invoke("ctr", "incr", arg));
+    }
+    for (auto& f : window) f.get();
+  }
+  rep::Engine& engine = c.domain.engine(0);
+  std::uint64_t cut_allocs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    client.invoke("ctr", "incr", arg).get();
+    const std::uint64_t before = bench::alloc_count();
+    state.ResumeTiming();
+    if (!engine.checkpoint_now("ctr")) {
+      state.SkipWithError("checkpoint refused");
+      break;
+    }
+    cut_allocs += bench::alloc_count() - before;
+  }
+  state.counters["allocs_per_cut"] =
+      static_cast<double>(cut_allocs) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+  state.counters["checkpoint_bytes"] =
+      static_cast<double>(engine.checkpoint_sizes("ctr").total());
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMicrosecond);
 
 void BM_FtRequestContext(benchmark::State& state) {
   giop::FtRequestContext ctx;

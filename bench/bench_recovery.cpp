@@ -15,7 +15,16 @@
 // the flatness as a regression guard (exit 1 when checkpointed recovery
 // cost scales with history length).
 //
-// Usage: bench_recovery [--smoke]
+// Each run also counts heap allocations per operation over its durable
+// traffic phase, and subtracts the same traffic run without the durability
+// plane: what is left is the durable write path's own share (journal
+// appends, group-commit syncs and meta rewrites, checkpoint cuts).
+// `--max-allocs N` fails the run when the mean durable-path figure exceeds
+// N. Every operation journals three records (one per replica), so a
+// per-record allocation creeping back adds 3 allocs/op and trips the
+// smoke test.
+//
+// Usage: bench_recovery [--smoke] [--max-allocs N]
 #include "ft/recovery.hpp"
 #include "harness.hpp"
 
@@ -24,7 +33,15 @@ using namespace eternal::bench;
 
 namespace {
 
-dur::RecoveryStats measure(int ops, std::uint64_t interval) {
+struct Measured {
+  dur::RecoveryStats stats;
+  double allocs_per_op = 0;  // over the traffic phase
+};
+
+/// `ops` increments on a three-replica Counter; with `durable`, under the
+/// durability plane (checkpoint every `interval` versions), followed by a
+/// whole-domain power cut and cold restart.
+Measured measure(int ops, std::uint64_t interval, bool durable = true) {
   sim::DiskFarm farm(3);
   // Pin the exactly-once retention window well below the sweep's operation
   // counts: the reply log (and its known-ops shadow) lives inside every
@@ -36,8 +53,10 @@ dur::RecoveryStats measure(int ops, std::uint64_t interval) {
   dur::DurParams dp;
   dp.checkpoint_interval = interval;
   ft::DurabilityPlane plane(c.domain, farm, dp);
-  c.rm.set_durability_plane(&plane);
-  plane.attach_all();
+  if (durable) {
+    c.rm.set_durability_plane(&plane);
+    plane.attach_all();
+  }
 
   ft::Properties props;
   props.replication_style = rep::Style::Active;
@@ -46,9 +65,14 @@ dur::RecoveryStats measure(int ops, std::uint64_t interval) {
   c.rm.create_object<app::Counter>("ctr", props, {{0, 1, 2}});
   c.settle();
 
+  Measured out;
+  const cdr::Bytes arg = i64_arg(1);
+  const AllocWindow allocs;
   for (int i = 0; i < ops; ++i) {
-    c.domain.client(0).invoke("ctr", "incr", i64_arg(1)).get();
+    c.domain.client(0).invoke("ctr", "incr", arg).get();
   }
+  out.allocs_per_op = allocs.per_op(static_cast<std::uint64_t>(ops));
+  if (!durable) return out;
   plane.sync_all();
   for (sim::NodeId n : {0u, 1u, 2u}) {
     c.fabric.crash(n);
@@ -56,9 +80,9 @@ dur::RecoveryStats measure(int ops, std::uint64_t interval) {
   }
   c.sim.run_for(200 * sim::kMillisecond);
 
-  const dur::RecoveryStats stats = c.rm.recover_domain();
+  out.stats = c.rm.recover_domain();
   c.fabric.run_until_converged(8 * sim::kSecond);
-  return stats;
+  return out;
 }
 
 std::string interval_label(std::uint64_t interval) {
@@ -77,17 +101,23 @@ int main(int argc, char** argv) {
 
   banner("E14", "domain recovery cost vs log length x checkpoint interval");
   Table table({"ops", "ckpt interval", "ckpts loaded", "records replayed",
-               "recovery cost (us)"});
+               "recovery cost (us)", "traffic allocs/op",
+               "durable-path allocs/op"});
 
   // cost[interval] per op count, for the shape check.
   std::map<std::uint64_t, std::vector<double>> costs;
+  std::vector<double> allocs_per_op;  // durable-path share, per op
   for (const int ops : op_counts) {
+    const double plain = measure(ops, 0, /*durable=*/false).allocs_per_op;
     for (const std::uint64_t interval : intervals) {
-      const dur::RecoveryStats s = measure(ops, interval);
+      const Measured m = measure(ops, interval);
+      const dur::RecoveryStats& s = m.stats;
       costs[interval].push_back(static_cast<double>(s.simulated_cost_us));
+      allocs_per_op.push_back(m.allocs_per_op - plain);
       table.row({std::to_string(ops), interval_label(interval),
                  fmt_u(s.checkpoints_loaded), fmt_u(s.records_replayed),
-                 fmt_u(s.simulated_cost_us)});
+                 fmt_u(s.simulated_cost_us), fmt(m.allocs_per_op),
+                 fmt(m.allocs_per_op - plain, 2)});
     }
   }
   table.print();
@@ -112,6 +142,9 @@ int main(int argc, char** argv) {
   if (linear_ratio < 2.0) {
     std::printf("FAIL: full-replay baseline did not grow with the log — "
                 "the sweep is not measuring replay\n");
+    rc = 1;
+  }
+  if (enforce_alloc_budget(alloc_budget(argc, argv), allocs_per_op) != 0) {
     rc = 1;
   }
   obs_report("recovery");

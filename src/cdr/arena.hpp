@@ -23,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -89,6 +90,9 @@ class WireBuf {
   explicit WireBuf(std::span<const std::uint8_t> bytes);
   explicit WireBuf(const Bytes& bytes)
       : WireBuf(std::span<const std::uint8_t>(bytes.data(), bytes.size())) {}
+  /// Literal bytes (tests and goldens): `buf = {0xDE, 0xAD}`.
+  WireBuf(std::initializer_list<std::uint8_t> bytes)
+      : WireBuf(std::span<const std::uint8_t>(bytes.begin(), bytes.size())) {}
 
   WireBuf(const WireBuf& o);
   WireBuf(WireBuf&& o) noexcept;

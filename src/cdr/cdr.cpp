@@ -2,10 +2,23 @@
 // by cdr_test round-trips, not by the lexical op model.
 #include "cdr/cdr.hpp"
 
+#include <cassert>
+
 namespace eternal::cdr {
 
+namespace {
+
+/// CDR aligns only to 1, 2, 4 or 8, so a mask replaces the division.
+constexpr bool valid_alignment(std::size_t alignment) {
+  return alignment != 0 && alignment <= 8 &&
+         (alignment & (alignment - 1)) == 0;
+}
+
+}  // namespace
+
 void Writer::align(std::size_t alignment) {
-  const std::size_t misalign = (len_ - origin_) % alignment;
+  assert(valid_alignment(alignment));
+  const std::size_t misalign = (len_ - origin_) & (alignment - 1);
   if (misalign != 0) {
     const std::size_t pad = alignment - misalign;
     ensure(pad);
@@ -73,7 +86,8 @@ void Writer::grow(std::size_t min_capacity) {
 }
 
 void Decoder::align(std::size_t alignment) {
-  const std::size_t misalign = pos_ % alignment;
+  assert(valid_alignment(alignment));
+  const std::size_t misalign = pos_ & (alignment - 1);
   if (misalign != 0) {
     const std::size_t pad = alignment - misalign;
     require(pad);

@@ -63,14 +63,15 @@ void NodeDurability::append(JournalRecord rec) {
   if (params_.sync_interval == 0) journal_.sync();
 }
 
-void NodeDurability::cut_checkpoint(CheckpointRecord rec) {
+void NodeDurability::cut_checkpoint(CheckpointHeader rec,
+                                    const BlobWriter& write_blob) {
   rec.position = journal_.next_index();
   if (meta_provider_) {
     const MetaSnapshot m = meta_provider_();
     rec.max_epoch = m.max_epoch;
     rec.client_next_op = m.client_next_op;
   }
-  if (!checkpoints_.save(rec)) {
+  if (!checkpoints_.save(rec, write_blob)) {
     append_failures_.inc();
     return;
   }
@@ -104,11 +105,11 @@ void NodeDurability::write_meta() {
     m.max_epoch = s.max_epoch;
     m.client_next_op = s.client_next_op;
   }
-  cdr::Writer w;
+  cdr::Writer w(meta_arena_);
+  const FrameStart frame = begin_frame(w);
   encode_meta_record_into(w, m);
-  Bytes framed;
-  frame_append(framed, w.written());
-  disk_.write_file(kMetaFile, framed);
+  end_frame(w, frame);
+  disk_.write_file(kMetaFile, w.written());
 }
 
 void NodeDurability::on_crash(bool torn) {

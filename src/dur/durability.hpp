@@ -114,9 +114,10 @@ class NodeDurability {
   void start();
   /// Append one delivery (engine hook; buffered until the next sync).
   void append(JournalRecord rec);
-  /// Persist one group checkpoint at the current journal position, retire
-  /// old versions, compact the journal, and sync everything.
-  void cut_checkpoint(CheckpointRecord rec);
+  /// Persist one group checkpoint at the current journal position (the
+  /// header, then the blob `write_blob` writes in place), retire old
+  /// versions, compact the journal, and sync everything.
+  void cut_checkpoint(CheckpointHeader rec, const BlobWriter& write_blob);
   /// Force the tail + meta durable now (tests, benches, orderly stop).
   void sync_now();
 
@@ -142,6 +143,7 @@ class NodeDurability {
   Journal journal_;
   CheckpointStore checkpoints_;
   std::function<MetaSnapshot()> meta_provider_;
+  cdr::Arena meta_arena_{kFrameSlab};  // the meta frame is built here
   sim::TimerHandle sync_timer_;
   bool closed_ = false;
 

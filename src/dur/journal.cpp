@@ -84,12 +84,12 @@ ScanResult Journal::open() {
 bool Journal::append(JournalRecord& rec) {
   if (broken_) return false;
   rec.index = next_index_;
-  cdr::Writer w;
+  cdr::Writer w(arena_);
+  const FrameStart frame = begin_frame(w);
   encode_journal_record_into(w, rec);
-  scratch_.clear();
-  frame_append(scratch_, w.written());
+  end_frame(w, frame);
   const std::size_t offset = disk_.size(kJournalFile);
-  if (!disk_.append(kJournalFile, scratch_)) {
+  if (!disk_.append(kJournalFile, w.written().data(), w.size())) {
     broken_ = true;  // disk full: the journal stops, the engine keeps going
     return false;
   }
@@ -108,6 +108,8 @@ std::size_t Journal::compact(std::uint64_t keep_from) {
   if (first == entries_.begin()) return 0;
   const sim::DiskBytes& data = *disk_.read(kJournalFile);
   const std::size_t cut = first == entries_.end() ? data.size() : first->offset;
+  // A copy: write_file assigns into the file's own buffer, so a span of
+  // that buffer would alias it.
   const sim::DiskBytes kept(data.begin() + static_cast<std::ptrdiff_t>(cut),
                             data.end());
   if (!disk_.write_file(kJournalFile, kept)) return 0;
@@ -162,13 +164,19 @@ std::string CheckpointStore::file_name(const std::string& group,
   return std::string(kCheckpointPrefix) + group + tail;
 }
 
-bool CheckpointStore::save(const CheckpointRecord& rec) {
-  cdr::Writer w;
-  encode_checkpoint_record_into(w, rec);
-  Bytes framed;
-  frame_append(framed, w.written());
+bool CheckpointStore::save(const CheckpointHeader& rec,
+                           const BlobWriter& write_blob) {
+  // A checkpoint frame is large and written only at a cut, so its slab
+  // goes back to the shared pool afterwards instead of staying pinned to
+  // this node.
+  cdr::Arena arena(kFrameSlab);
+  cdr::Writer w(arena, frame_reserve_);
+  const FrameStart frame = begin_frame(w);
+  encode_checkpoint_record_into(w, rec, write_blob);
+  end_frame(w, frame);
+  frame_reserve_ = std::max(frame_reserve_, w.size());
   const std::string name = file_name(rec.group, rec.state_version);
-  if (!disk_.write_file(name, framed)) return false;
+  if (!disk_.write_file(name, w.written())) return false;
   positions_[name] = rec.position;
   // Retire all but the two newest (names sort by zero-padded version).
   std::vector<std::string> files = files_of(rec.group);

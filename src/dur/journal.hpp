@@ -6,7 +6,8 @@
 // extends the durable prefix (group commit — the engine's sync timer calls
 // it periodically, so a crash loses at most one sync interval of tail:
 // the documented durability window). `append` is the only code that frames
-// a journal record, and it remembers each retained record's byte offset.
+// a journal record: it builds the frame in place in the journal's own
+// arena and remembers each retained record's byte offset.
 // `open` is the journal's one scan per life: it rebuilds that offset index
 // from the file's intact prefix and drops a corrupt tail. `compact` then
 // drops every record below a threshold *absolute index* as one byte range
@@ -41,6 +42,9 @@ namespace eternal::dur {
 
 inline constexpr char kJournalFile[] = "journal";
 inline constexpr char kMetaFile[] = "meta";
+/// Smallest slab of the arenas durable frames are built in (they grow on
+/// demand).
+inline constexpr std::size_t kFrameSlab = std::size_t{1} << 12;
 
 struct ScanResult {
   std::vector<JournalRecord> records;  // intact prefix, file order
@@ -92,16 +96,17 @@ class Journal {
   std::set<std::string> groups_;
   std::uint64_t next_index_ = 0;
   bool broken_ = false;  // disk-full hit: stop appending, keep serving
-  Bytes scratch_;        // reusable frame-encode buffer
+  cdr::Arena arena_{kFrameSlab};  // frames are built here, then copied out
 };
 
 class CheckpointStore {
  public:
   explicit CheckpointStore(sim::Disk& disk);
 
-  /// Persist atomically and retire all but the two newest versions for
-  /// the group. Returns false when the disk is full.
-  bool save(const CheckpointRecord& rec);
+  /// Persist atomically — the header, then the blob `write_blob` writes in
+  /// place — and retire all but the two newest versions for the group.
+  /// Returns false when the disk is full.
+  bool save(const CheckpointHeader& rec, const BlobWriter& write_blob);
 
   /// Newest checkpoint for `group` that passes its CRC; falls back to the
   /// previous one (bumping `*fallbacks`) when the newest is corrupt.
@@ -128,6 +133,9 @@ class CheckpointStore {
   /// Journal position of each retained file this store saved or read;
   /// nullopt = the file was read and is unreadable.
   std::map<std::string, std::optional<std::uint64_t>> positions_;
+  /// Largest checkpoint frame saved so far: the next cut reserves this
+  /// much up front, so a steady-size checkpoint never grows its frame.
+  std::size_t frame_reserve_ = kFrameSlab;
 };
 
 }  // namespace eternal::dur

@@ -10,6 +10,13 @@
 // both stop the scan cleanly at the last intact prefix instead of feeding
 // garbage to the replay path.
 //
+// Frames are built in place: `begin_frame` reserves the header in a
+// cdr::Writer and restarts its alignment origin, the record is encoded
+// straight after it, and `end_frame` patches the length and the CRC over
+// the payload. The writers (journal append, checkpoint save, meta rewrite)
+// therefore encode each durable byte once, CRC it once and hand the
+// Writer's bytes to sim::Disk, which copies them once.
+//
 // Three record payloads exist, each with a wirecheck-paired codec:
 //
 //  * JournalRecord — one totally-ordered delivery addressed to a hosted
@@ -27,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 
@@ -37,7 +45,8 @@ namespace eternal::dur {
 
 using cdr::Bytes;
 
-/// CRC-32 (IEEE 802.3, reflected) over `len` bytes.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `len`
+/// bytes, slicing by 8.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 
 struct JournalRecord {
@@ -47,10 +56,11 @@ struct JournalRecord {
   std::uint8_t kind = 0;       // rep::Kind raw value
   std::string group;           // target group (hosted at this node)
   rep::OperationId op;         // operation id (zero for non-op envelopes)
-  Bytes payload;               // raw envelope frame, replayed verbatim
+  cdr::WireBuf payload;        // raw envelope frame, replayed verbatim
 };
 
-struct CheckpointRecord {
+/// A checkpoint's fields ahead of its blob.
+struct CheckpointHeader {
   std::string group;
   std::uint8_t style = 0;           // rep::Style raw value
   std::uint64_t state_version = 0;
@@ -58,8 +68,16 @@ struct CheckpointRecord {
   std::uint64_t position = 0;       // journal index replay resumes from
   std::uint64_t max_epoch = 0;      // ring-epoch high water at the cut
   std::uint64_t client_next_op = 0; // this node's client op high water
-  cdr::WireBuf blob;                // engine three-tier checkpoint state
 };
+
+/// A checkpoint as read back: the header plus the engine's three-tier
+/// state blob.
+struct CheckpointRecord : CheckpointHeader {
+  cdr::WireBuf blob;
+};
+
+/// Writes a checkpoint's blob content in place (the engine's three tiers).
+using BlobWriter = std::function<void(cdr::Writer&)>;
 
 struct MetaRecord {
   std::uint64_t max_epoch = 0;
@@ -69,21 +87,33 @@ struct MetaRecord {
 void encode_journal_record_into(cdr::Writer& out, const JournalRecord& r);
 JournalRecord decode_journal_record(cdr::Decoder& in);
 
-void encode_checkpoint_record_into(cdr::Writer& out,
-                                   const CheckpointRecord& r);
+/// The header, then the blob as a sequence<octet> whose content
+/// `write_blob` writes in place, aligned as its own stream.
+void encode_checkpoint_record_into(cdr::Writer& out, const CheckpointHeader& h,
+                                   const BlobWriter& write_blob);
 CheckpointRecord decode_checkpoint_record(cdr::Decoder& in);
 
 void encode_meta_record_into(cdr::Writer& out, const MetaRecord& r);
 MetaRecord decode_meta_record(cdr::Decoder& in);
 
-/// Append one framed record (length + CRC header, then `payload`) to
-/// `out`.
-void frame_append(Bytes& out, std::span<const std::uint8_t> payload);
+/// A frame open in a Writer: its header is reserved and the payload is
+/// being written after it.
+struct FrameStart {
+  cdr::Writer::Patch len;
+  cdr::Writer::Patch crc;
+};
+
+/// Reserve a frame header at the Writer's position and restart the
+/// alignment origin after it, so the payload aligns as its own stream.
+FrameStart begin_frame(cdr::Writer& w);
+/// Patch the header with the length and CRC of everything written since
+/// `begin_frame`.
+void end_frame(cdr::Writer& w, const FrameStart& f);
 
 /// Parse the frame starting at `offset`. Returns true and sets
 /// `payload_offset`/`payload_len` when an intact, CRC-valid frame is
 /// present; false on a truncated or corrupt frame (scan stops there).
-bool frame_parse(const Bytes& data, std::size_t offset,
+bool frame_parse(std::span<const std::uint8_t> data, std::size_t offset,
                  std::size_t& payload_offset, std::size_t& payload_len);
 
 }  // namespace eternal::dur

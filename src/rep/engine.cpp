@@ -284,7 +284,7 @@ void Engine::host_recovered(const GroupConfig& cfg,
 
 void Engine::replay_journal_record(const dur::JournalRecord& rec) {
   try {
-    decode_envelope_into(rx_env_, cdr::WireBuf(rec.payload));
+    decode_envelope_into(rx_env_, rec.payload);
   } catch (const cdr::MarshalError&) {
     return;  // framed-but-garbage payload: skip, the tape is append-only
   }
@@ -329,26 +329,36 @@ void Engine::maybe_cut_checkpoint(LocalGroup& g) {
   if (g.state_version >= g.last_checkpoint_version + interval) {
     g.checkpoint_due = true;
   }
-  if (!g.checkpoint_due) return;
+  if (g.checkpoint_due && can_cut_checkpoint(g)) cut_checkpoint(g);
+}
+
+bool Engine::can_cut_checkpoint(const LocalGroup& g) const {
   // Quiescent boundary: nothing in flight, so the checkpoint reflects a
   // prefix of the total order and every journal record below the cut
   // position is fully contained in it.
-  if (!g.running.empty() || !g.exec_queue.empty() ||
-      !g.invocation_log.empty()) {
-    return;
-  }
-  cut_checkpoint(g);
+  return durability_ && !recovering_ && g.sync == SyncState::Synced &&
+         g.running.empty() && g.exec_queue.empty() &&
+         g.invocation_log.empty();
+}
+
+bool Engine::checkpoint_now(const std::string& group) {
+  const auto it = local_.find(group);
+  if (it == local_.end() || !can_cut_checkpoint(it->second)) return false;
+  cut_checkpoint(it->second);
+  return true;
 }
 
 void Engine::cut_checkpoint(LocalGroup& g) {
   const std::uint64_t digest = digest_state(*g.replica, g.state_version);
-  dur::CheckpointRecord rec;
+  dur::CheckpointHeader rec;
   rec.group = g.cfg.name;
   rec.style = static_cast<std::uint8_t>(g.cfg.style);
   rec.state_version = g.state_version;
   rec.digest = digest;
-  rec.blob = encode_checkpoint(g, nullptr);
-  durability_->cut_checkpoint(std::move(rec));
+  // The three tiers are encoded straight into the record's blob sequence.
+  durability_->cut_checkpoint(std::move(rec), [this, &g](cdr::Writer& w) {
+    encode_checkpoint_into(w, g, nullptr);
+  });
   g.last_checkpoint_version = g.state_version;
   g.checkpoint_due = false;
   journal(obs::EventKind::CheckpointCut, g.cfg.name,
@@ -402,7 +412,10 @@ std::size_t Engine::fulfillment_backlog(const std::string& group) const {
 CheckpointSizes Engine::checkpoint_sizes(const std::string& group) const {
   CheckpointSizes sizes;
   auto it = local_.find(group);
-  if (it != local_.end()) encode_checkpoint(it->second, &sizes);
+  if (it != local_.end()) {
+    cdr::Writer w;
+    encode_checkpoint_into(w, it->second, &sizes);
+  }
   return sizes;
 }
 
@@ -465,8 +478,7 @@ void Engine::maybe_journal_delivery(const Envelope& env,
   rec.kind = static_cast<std::uint8_t>(env.kind);
   rec.group = env.target_group;
   rec.op = env.op_id;
-  const auto bytes = frame.span();
-  rec.payload.assign(bytes.begin(), bytes.end());
+  rec.payload = frame;  // shares the delivered frame (refcount)
   durability_->append(std::move(rec));
 }
 
@@ -1011,14 +1023,14 @@ void Engine::resend_logged_reply(LocalGroup& g, const Envelope& inv) {
 
 void Engine::log_reply(LocalGroup& g, const OperationId& op,
                        cdr::WireBuf reply) {
-  if (g.reply_log.emplace(op, std::move(reply)).second) {
-    g.reply_log_order.push_back(op);
-    while (g.reply_log_order.size() > params_.reply_log_capacity) {
-      const OperationId victim = g.reply_log_order.front();
-      g.reply_log_order.pop_front();
-      g.reply_log.erase(victim);
-      g.known_ops.erase(victim);
-    }
+  const auto [logged, inserted] = g.reply_log.emplace(op, std::move(reply));
+  if (!inserted) return;
+  g.reply_log_order.push_back(logged);
+  while (g.reply_log_order.size() > params_.reply_log_capacity) {
+    const LocalGroup::ReplyLog::iterator victim = g.reply_log_order.front();
+    g.reply_log_order.pop_front();
+    g.known_ops.erase(victim->first);
+    g.reply_log.erase(victim);
   }
 }
 
@@ -1456,7 +1468,9 @@ void Engine::serve_snapshot(LocalGroup& g, std::uint32_t joiner,
   // "transfer while operating" requirement — and ops that complete between
   // the marker and a deferred cut are safe: their replies ride in the
   // snapshot's reply log, so the joiner suppresses its buffered copies.
-  const cdr::WireBuf blob = encode_checkpoint(g, nullptr);
+  cdr::Writer w;
+  encode_checkpoint_into(w, g, nullptr);
+  const cdr::WireBuf blob = w.seal();
   counters_.snapshots_served.inc();
   const std::uint32_t chunk = params_.snapshot_chunk_bytes;
   const std::uint32_t count =
@@ -1610,11 +1624,9 @@ void Engine::handle_state_digest(LocalGroup& g, const Envelope& env) {
   if (divergence_observer_) divergence_observer_(*report);
 }
 
-cdr::WireBuf Engine::encode_checkpoint(const LocalGroup& g,
-                                       CheckpointSizes* sizes) const {
+void Engine::encode_checkpoint_into(cdr::Writer& w, const LocalGroup& g,
+                                    CheckpointSizes* sizes) const {
   // Each tier is a sequence<octet> written in place as its own stream.
-  cdr::Writer w;
-
   // Tier 1: application state.
   w.begin_octet_seq();
   g.replica->get_state(w);
@@ -1624,12 +1636,12 @@ cdr::WireBuf Engine::encode_checkpoint(const LocalGroup& g,
   // which a recovered replica would re-execute or fail to answer retries.
   w.begin_octet_seq();
   w.put_ulong(static_cast<std::uint32_t>(g.reply_log_order.size()));
-  for (const OperationId& op : g.reply_log_order) {
-    auto it = g.reply_log.find(op);
+  for (const LocalGroup::ReplyLog::iterator& entry : g.reply_log_order) {
+    const OperationId& op = entry->first;
     w.put_ulonglong(op.parent.epoch);
     w.put_ulonglong(op.parent.seq);
     w.put_ulonglong(op.op_seq);
-    w.put_octet_seq(it->second);
+    w.put_octet_seq(entry->second);
   }
   w.put_ulong(static_cast<std::uint32_t>(g.known_ops.size()));
   for (const OperationId& op : g.known_ops) {
@@ -1660,7 +1672,6 @@ cdr::WireBuf Engine::encode_checkpoint(const LocalGroup& g,
     sizes->orb = orb;
     sizes->infrastructure = infrastructure;
   }
-  return w.seal();
 }
 
 void Engine::apply_checkpoint(LocalGroup& g, const cdr::WireBuf& blob) {
@@ -1683,8 +1694,9 @@ void Engine::apply_checkpoint(LocalGroup& g, const cdr::WireBuf& blob) {
       op.parent.epoch = d2.get_ulonglong();
       op.parent.seq = d2.get_ulonglong();
       op.op_seq = d2.get_ulonglong();
-      g.reply_log.emplace(op, d2.get_octet_seq_buf());
-      g.reply_log_order.push_back(op);
+      const auto [entry, inserted] =
+          g.reply_log.emplace(op, d2.get_octet_seq_buf());
+      if (inserted) g.reply_log_order.push_back(entry);
     }
     const std::uint32_t known = d2.get_ulong();
     for (std::uint32_t i = 0; i < known; ++i) {

@@ -185,6 +185,10 @@ class Engine {
   void host_recovered(const GroupConfig& cfg,
                       std::shared_ptr<Replica> replica,
                       const dur::RecoveredGroup& rec);
+  /// Cut a durable checkpoint of `group` now, off the interval schedule
+  /// (benches). False when there is no durability manager, or the group is
+  /// not hosted, synced and quiescent here.
+  bool checkpoint_now(const std::string& group);
   /// Feed one journaled delivery back through the normal routing path
   /// (dedup, logging, execution, nested-reply resolution).
   void replay_journal_record(const dur::JournalRecord& rec);
@@ -288,9 +292,12 @@ class Engine {
 
     // Tier-2 (ORB) state. Logged replies are refcounted frame slices, so
     // logging and resending never copy the GIOP bytes.
-    std::map<OperationId, cdr::WireBuf> reply_log;  // op -> GIOP reply
-    std::deque<OperationId> reply_log_order;      // FIFO eviction
-    std::set<OperationId> known_ops;              // executed or in progress
+    using ReplyLog = std::map<OperationId, cdr::WireBuf>;  // op -> reply
+    ReplyLog reply_log;
+    /// reply_log entries in logging order (FIFO eviction, checkpoint
+    /// order); map iterators stay valid across other inserts and erases.
+    std::deque<ReplyLog::iterator> reply_log_order;
+    std::set<OperationId> known_ops;  // executed or in progress
 
     // Passive machinery.
     std::deque<LoggedInvocation> invocation_log;  // awaiting StateUpdate
@@ -365,8 +372,10 @@ class Engine {
   void replay_fulfillment(LocalGroup& g);
 
   // --- state transfer ---
-  cdr::WireBuf encode_checkpoint(const LocalGroup& g,
-                                 CheckpointSizes* sizes) const;
+  /// The three-tier checkpoint, written into `w` — the durable record's
+  /// blob sequence, a state-transfer snapshot, or a size probe.
+  void encode_checkpoint_into(cdr::Writer& w, const LocalGroup& g,
+                              CheckpointSizes* sizes) const;
   void apply_checkpoint(LocalGroup& g, const cdr::WireBuf& blob);
   void serve_snapshot(LocalGroup& g, std::uint32_t joiner,
                       std::uint32_t round);
@@ -393,6 +402,8 @@ class Engine {
   /// flight) — deterministic across replicas, so every node cuts at the
   /// same version with the same state.
   void maybe_cut_checkpoint(LocalGroup& g);
+  /// A checkpoint may be cut now: durable, synced, nothing in flight.
+  bool can_cut_checkpoint(const LocalGroup& g) const;
   void cut_checkpoint(LocalGroup& g);
 
   // --- execution pooling ---

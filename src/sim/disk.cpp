@@ -14,10 +14,11 @@ bool Disk::append(const std::string& name, const std::uint8_t* bytes,
   return true;
 }
 
-bool Disk::write_file(const std::string& name, const DiskBytes& bytes) {
+bool Disk::write_file(const std::string& name,
+                      std::span<const std::uint8_t> bytes) {
   if (full_) return false;
   File& f = files_[name];
-  f.data = bytes;
+  f.data.assign(bytes.begin(), bytes.end());
   f.synced = bytes.size();  // atomic replace: durable as a unit
   return true;
 }

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,8 +50,11 @@ class Disk {
   }
 
   /// Atomically replace `name` with `bytes`, durable immediately (models
-  /// write-temp + fsync + rename). Returns false when the disk is full.
-  bool write_file(const std::string& name, const DiskBytes& bytes);
+  /// write-temp + fsync + rename). The bytes are copied into the file's
+  /// existing buffer, so rewriting a file no larger than before allocates
+  /// nothing; `bytes` must not point into that file. Returns false (and
+  /// writes nothing) when the disk is full.
+  bool write_file(const std::string& name, std::span<const std::uint8_t> bytes);
 
   /// Extend the durable prefix of one file / of every file to its current
   /// in-memory length (fsync).

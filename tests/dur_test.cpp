@@ -1,10 +1,11 @@
-// Durability subsystem unit tests: simulated-disk semantics, record
-// framing, journal corruption matrix (truncated tail / CRC flip / torn
+// Durability subsystem unit tests: simulated-disk semantics, the CRC and
+// record framing, journal corruption matrix (truncated tail / CRC flip / torn
 // mid-record / disk full), checkpoint retention + fallback, and the
 // compaction floor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 
 #include "dur/durability.hpp"
 #include "dur/journal.hpp"
@@ -26,8 +27,35 @@ JournalRecord make_record(std::uint64_t seq, const std::string& group,
   r.op.parent.epoch = 1;
   r.op.parent.seq = seq;
   r.op.op_seq = 7;
-  r.payload.assign(payload, static_cast<std::uint8_t>(seq & 0xFF));
+  r.payload =
+      cdr::WireBuf(Bytes(payload, static_cast<std::uint8_t>(seq & 0xFF)));
   return r;
+}
+
+/// The frame `encode` writes, built the way the durable writers build it.
+template <typename Encode>
+Bytes framed(Encode encode) {
+  cdr::Writer w;
+  const FrameStart frame = begin_frame(w);
+  encode(w);
+  end_frame(w, frame);
+  return Bytes(w.written().begin(), w.written().end());
+}
+
+/// Writes a test checkpoint's literal blob.
+BlobWriter blob_of(const CheckpointRecord& c) {
+  return [&c](cdr::Writer& w) { w.put_raw(c.blob.span()); };
+}
+
+/// The bytewise CRC-32 the slicing-by-8 one must reproduce: the textbook
+/// bit loop, with no table.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
 }
 
 // ---------------------------------------------------------------------------
@@ -59,8 +87,8 @@ TEST(Disk, TornCrashKeepsPartialTail) {
 
 TEST(Disk, WriteFileIsAtomicAndDurable) {
   sim::Disk disk;
-  ASSERT_TRUE(disk.write_file("meta", {9, 9}));
-  ASSERT_TRUE(disk.write_file("meta", {1, 2, 3}));
+  ASSERT_TRUE(disk.write_file("meta", sim::DiskBytes{9, 9}));
+  ASSERT_TRUE(disk.write_file("meta", sim::DiskBytes{1, 2, 3}));
   disk.crash(/*torn=*/true);
   EXPECT_EQ(*disk.read("meta"), (sim::DiskBytes{1, 2, 3}));
 }
@@ -69,7 +97,7 @@ TEST(Disk, FullDiskRefusesWrites) {
   sim::Disk disk;
   disk.set_full(true);
   EXPECT_FALSE(disk.append("f", {1}));
-  EXPECT_FALSE(disk.write_file("g", {1}));
+  EXPECT_FALSE(disk.write_file("g", sim::DiskBytes{1}));
   EXPECT_EQ(disk.read("f"), nullptr);
   disk.set_full(false);
   EXPECT_TRUE(disk.append("f", {1}));
@@ -77,11 +105,57 @@ TEST(Disk, FullDiskRefusesWrites) {
 
 TEST(Disk, ListIsSortedAndPrefixed) {
   sim::Disk disk;
-  disk.write_file("b", {1});
-  disk.write_file("a", {1});
-  disk.write_file("ckpt-g-1", {1});
+  disk.write_file("b", sim::DiskBytes{1});
+  disk.write_file("a", sim::DiskBytes{1});
+  disk.write_file("ckpt-g-1", sim::DiskBytes{1});
   EXPECT_EQ(disk.list(), (std::vector<std::string>{"a", "b", "ckpt-g-1"}));
   EXPECT_EQ(disk.list("ckpt-"), (std::vector<std::string>{"ckpt-g-1"}));
+}
+
+TEST(Disk, WriteFileOverwritesShorterAndLongerExactly) {
+  sim::Disk disk;
+  const sim::DiskBytes first{1, 2, 3, 4, 5, 6};
+  const sim::DiskBytes shorter{7, 8};
+  const sim::DiskBytes longer{9, 10, 11, 12, 13, 14, 15, 16, 17};
+  for (const sim::DiskBytes* bytes : {&first, &shorter, &longer}) {
+    ASSERT_TRUE(disk.write_file("f", *bytes));
+    EXPECT_EQ(*disk.read("f"), *bytes);
+    EXPECT_EQ(disk.size("f"), bytes->size());
+    EXPECT_EQ(disk.synced_size("f"), bytes->size());
+  }
+}
+
+// A rewrite no larger than the file copies into the buffer it already has:
+// the per-tick meta rewrite allocates nothing.
+TEST(Disk, WriteFileReusesTheFileBuffer) {
+  sim::Disk disk;
+  ASSERT_TRUE(disk.write_file("meta", sim::DiskBytes(24, 0xAA)));
+  const std::uint8_t* buffer = disk.read("meta")->data();
+  ASSERT_TRUE(disk.write_file("meta", sim::DiskBytes(24, 0xBB)));
+  ASSERT_TRUE(disk.write_file("meta", sim::DiskBytes(16, 0xCC)));
+  EXPECT_EQ(disk.read("meta")->data(), buffer);
+  EXPECT_EQ(*disk.read("meta"), sim::DiskBytes(16, 0xCC));
+}
+
+TEST(Disk, WriteFileIsDurableAtOnceAcrossTornCrash) {
+  sim::Disk disk;
+  ASSERT_TRUE(disk.append("f", sim::DiskBytes{1, 2, 3, 4}));  // unsynced
+  ASSERT_TRUE(disk.write_file("f", sim::DiskBytes{5, 6, 7}));
+  ASSERT_TRUE(disk.write_file("g", sim::DiskBytes{8, 9}));
+  disk.crash(/*torn=*/true);
+  EXPECT_EQ(*disk.read("f"), (sim::DiskBytes{5, 6, 7}));
+  EXPECT_EQ(*disk.read("g"), (sim::DiskBytes{8, 9}));
+}
+
+TEST(Disk, FullDiskWriteFileWritesNothing) {
+  sim::Disk disk;
+  ASSERT_TRUE(disk.write_file("f", sim::DiskBytes{1, 2, 3}));
+  disk.set_full(true);
+  EXPECT_FALSE(disk.write_file("f", sim::DiskBytes{4, 5}));
+  EXPECT_FALSE(disk.write_file("g", sim::DiskBytes{6}));
+  EXPECT_EQ(*disk.read("f"), (sim::DiskBytes{1, 2, 3}));
+  EXPECT_EQ(disk.read("g"), nullptr);
+  EXPECT_EQ(disk.list(), (std::vector<std::string>{"f"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -115,7 +189,7 @@ TEST(Record, CheckpointRecordRoundTrip) {
   in.client_next_op = 900;
   in.blob = cdr::WireBuf(Bytes{1, 2, 3});
   cdr::Writer enc;
-  encode_checkpoint_record_into(enc, in);
+  encode_checkpoint_record_into(enc, in, blob_of(in));
   cdr::Decoder dec(enc.written());
   const CheckpointRecord out = decode_checkpoint_record(dec);
   EXPECT_EQ(out.group, in.group);
@@ -129,20 +203,69 @@ TEST(Record, CheckpointRecordRoundTrip) {
 }
 
 TEST(Record, FrameRejectsCorruptPayload) {
-  cdr::Writer enc;
-  encode_meta_record_into(enc, MetaRecord{3, 4});
-  Bytes framed;
-  frame_append(framed, enc.written());
+  Bytes frame = framed(
+      [](cdr::Writer& w) { encode_meta_record_into(w, MetaRecord{3, 4}); });
   std::size_t off = 0, len = 0;
-  ASSERT_TRUE(frame_parse(framed, 0, off, len));
-  framed[framed.size() - 1] ^= 0xFF;  // flip a payload byte
-  EXPECT_FALSE(frame_parse(framed, 0, off, len));
+  ASSERT_TRUE(frame_parse(frame, 0, off, len));
+  frame[frame.size() - 1] ^= 0xFF;  // flip a payload byte
+  EXPECT_FALSE(frame_parse(frame, 0, off, len));
 }
 
 TEST(Record, FrameRejectsTruncatedHeader) {
   Bytes framed{1, 2, 3};  // shorter than the [len][crc] header
   std::size_t off = 0, len = 0;
   EXPECT_FALSE(frame_parse(framed, 0, off, len));
+}
+
+TEST(Crc32, KnownAnswer) {
+  constexpr std::string_view kCheck = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(kCheck.data()),
+                  kCheck.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+// Slicing-by-8 reads the input a word pair at a time; every length (whole
+// words plus a 0-7 byte tail) at every start misalignment must agree with
+// the bytewise definition.
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  constexpr std::size_t kBig = std::size_t{64} << 10;
+  Bytes buf(kBig + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::uint8_t& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  lengths.push_back(kBig);
+  for (std::size_t shift = 0; shift < 8; ++shift) {
+    for (const std::size_t len : lengths) {
+      const std::uint8_t* p = buf.data() + shift;
+      ASSERT_EQ(crc32(p, len), reference_crc32(p, len))
+          << "len=" << len << " shift=" << shift;
+    }
+  }
+}
+
+// A single flipped bit in any byte lane of the 8-byte stride (and in the
+// tail) makes the frame unreadable.
+TEST(Record, FrameRejectsBitFlipInEveryLane) {
+  const Bytes good = framed([](cdr::Writer& w) {
+    for (std::uint8_t i = 0; i < 67; ++i) w.put_octet(i);
+  });
+  std::size_t off = 0, len = 0;
+  ASSERT_TRUE(frame_parse(good, 0, off, len));
+  ASSERT_EQ(len, 67u);
+  for (std::size_t at = off; at < good.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes bad = good;
+      bad[at] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_FALSE(frame_parse(bad, 0, off, len))
+          << "byte " << at - 8 << " (lane " << (at - 8) % 8 << ") bit "
+          << bit;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -282,12 +405,20 @@ CheckpointRecord make_checkpoint(const std::string& group,
   return c;
 }
 
+bool save(CheckpointStore& store, const CheckpointRecord& c) {
+  return store.save(c, blob_of(c));
+}
+
+void cut(NodeDurability& d, const CheckpointRecord& c) {
+  d.cut_checkpoint(c, blob_of(c));
+}
+
 TEST(CheckpointStore, RetainsTwoNewest) {
   sim::Disk disk;
   CheckpointStore store(disk);
-  ASSERT_TRUE(store.save(make_checkpoint("g", 10, 5)));
-  ASSERT_TRUE(store.save(make_checkpoint("g", 20, 11)));
-  ASSERT_TRUE(store.save(make_checkpoint("g", 30, 17)));
+  ASSERT_TRUE(save(store, make_checkpoint("g", 10, 5)));
+  ASSERT_TRUE(save(store, make_checkpoint("g", 20, 11)));
+  ASSERT_TRUE(save(store, make_checkpoint("g", 30, 17)));
   EXPECT_EQ(disk.list("ckpt-g-").size(), 2u);
   std::size_t fb = 0;
   const auto rec = store.load_newest("g", &fb);
@@ -299,8 +430,8 @@ TEST(CheckpointStore, RetainsTwoNewest) {
 TEST(CheckpointStore, FallsBackWhenNewestCorrupt) {
   sim::Disk disk;
   CheckpointStore store(disk);
-  ASSERT_TRUE(store.save(make_checkpoint("g", 10, 5)));
-  ASSERT_TRUE(store.save(make_checkpoint("g", 20, 11)));
+  ASSERT_TRUE(save(store, make_checkpoint("g", 10, 5)));
+  ASSERT_TRUE(save(store, make_checkpoint("g", 20, 11)));
   const auto files = disk.list("ckpt-g-");
   ASSERT_EQ(files.size(), 2u);
   ASSERT_TRUE(disk.corrupt_byte(files.back(), 10));  // newest (sorted last)
@@ -314,8 +445,8 @@ TEST(CheckpointStore, FallsBackWhenNewestCorrupt) {
 TEST(CheckpointStore, BothCorruptMeansFullReplay) {
   sim::Disk disk;
   CheckpointStore store(disk);
-  ASSERT_TRUE(store.save(make_checkpoint("g", 10, 5)));
-  ASSERT_TRUE(store.save(make_checkpoint("g", 20, 11)));
+  ASSERT_TRUE(save(store, make_checkpoint("g", 10, 5)));
+  ASSERT_TRUE(save(store, make_checkpoint("g", 20, 11)));
   for (const auto& f : disk.list("ckpt-g-")) {
     ASSERT_TRUE(disk.corrupt_byte(f, 10));
   }
@@ -327,17 +458,17 @@ TEST(CheckpointStore, BothCorruptMeansFullReplay) {
 TEST(CheckpointStore, SafePositionsTrackOlderRetained) {
   sim::Disk disk;
   CheckpointStore store(disk);
-  ASSERT_TRUE(store.save(make_checkpoint("a", 10, 5)));
-  ASSERT_TRUE(store.save(make_checkpoint("a", 20, 11)));
-  ASSERT_TRUE(store.save(make_checkpoint("b", 4, 9)));
+  ASSERT_TRUE(save(store, make_checkpoint("a", 10, 5)));
+  ASSERT_TRUE(save(store, make_checkpoint("a", 20, 11)));
+  ASSERT_TRUE(save(store, make_checkpoint("b", 4, 9)));
   const auto safe = store.safe_positions();
   ASSERT_EQ(safe.size(), 2u);
   EXPECT_EQ(safe.at("a"), 5u);   // older of the two retained
   EXPECT_EQ(safe.at("b"), 0u);   // single checkpoint pins the whole tape
   // A later life reads the files back: same answer, and an unreadable
   // older checkpoint pins the whole tape too.
-  ASSERT_TRUE(store.save(make_checkpoint("c", 1, 3)));
-  ASSERT_TRUE(store.save(make_checkpoint("c", 2, 7)));
+  ASSERT_TRUE(save(store, make_checkpoint("c", 1, 3)));
+  ASSERT_TRUE(save(store, make_checkpoint("c", 2, 7)));
   ASSERT_TRUE(disk.corrupt_byte(disk.list("ckpt-c-").front(), 10));
   const auto reread = CheckpointStore(disk).safe_positions();
   ASSERT_EQ(reread.size(), 3u);
@@ -349,7 +480,7 @@ TEST(CheckpointStore, SafePositionsTrackOlderRetained) {
 TEST(CheckpointStore, GroupNamesWithDashesParse) {
   sim::Disk disk;
   CheckpointStore store(disk);
-  ASSERT_TRUE(store.save(make_checkpoint("multi-part-name", 3, 1)));
+  ASSERT_TRUE(save(store, make_checkpoint("multi-part-name", 3, 1)));
   const auto groups = store.groups();
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0], "multi-part-name");
@@ -361,9 +492,9 @@ TEST(CheckpointStore, GroupNamesWithDashesParse) {
 TEST(CheckpointStore, GroupPrefixDoesNotMatchDashedNeighbour) {
   sim::Disk disk;
   CheckpointStore store(disk);
-  ASSERT_TRUE(store.save(make_checkpoint("a-b", 1, 3)));
-  ASSERT_TRUE(store.save(make_checkpoint("a-b", 2, 5)));
-  ASSERT_TRUE(store.save(make_checkpoint("a", 7, 9)));
+  ASSERT_TRUE(save(store, make_checkpoint("a-b", 1, 3)));
+  ASSERT_TRUE(save(store, make_checkpoint("a-b", 2, 5)));
+  ASSERT_TRUE(save(store, make_checkpoint("a", 7, 9)));
 
   EXPECT_EQ(disk.list().size(), 3u);  // nothing of either group retired
   const auto a = store.load_newest("a", nullptr);
@@ -391,7 +522,7 @@ TEST(NodeDurability, UncheckpointedGroupPinsCompactionFloor) {
   for (std::uint64_t i = 0; i < 5; ++i) life1.append(make_record(i, "b"));
   for (std::uint64_t v = 1; v <= 3; ++v) {
     life1.append(make_record(10 + v, "a"));
-    life1.cut_checkpoint(make_checkpoint("a", v, 0));
+    cut(life1, make_checkpoint("a", v, 0));
   }
   life1.close();
 
@@ -401,6 +532,28 @@ TEST(NodeDurability, UncheckpointedGroupPinsCompactionFloor) {
       std::count_if(rn.records.begin(), rn.records.end(),
                     [](const JournalRecord& r) { return r.group == "b"; });
   EXPECT_EQ(b_records, 5);
+}
+
+// The meta file is rewritten in place on every sync: one file, holding
+// the newest record.
+TEST(NodeDurability, MetaRewritesKeepOneNewestFile) {
+  sim::Simulation sim(1);
+  sim::Disk disk;
+  NodeDurability d(sim, disk, 0, DurParams{});
+  MetaSnapshot snap;
+  d.set_meta_provider([&snap] { return snap; });
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    snap = MetaSnapshot{i, 100 * i};
+    d.sync_now();
+    EXPECT_EQ(disk.list(), (std::vector<std::string>{kMetaFile}));
+    const std::optional<MetaRecord> m = read_meta(disk);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->max_epoch, i);
+    EXPECT_EQ(m->client_next_op, 100 * i);
+  }
+  EXPECT_EQ(*disk.read(kMetaFile), framed([](cdr::Writer& w) {
+              encode_meta_record_into(w, MetaRecord{5, 500});
+            }));
 }
 
 // Compaction drops a byte range without re-encoding: the journal holds
@@ -414,7 +567,7 @@ TEST(NodeDurability, CompactionKeepsExactlyTheFramedSuffix) {
     for (std::uint64_t k = 0; k < kPerRound; ++k) {
       d.append(make_record(r * kPerRound + k, "a", 16 + k));
     }
-    d.cut_checkpoint(make_checkpoint("a", r + 1, 0));
+    cut(d, make_checkpoint("a", r + 1, 0));
   };
   sim::Simulation sim(1);
 
@@ -430,13 +583,11 @@ TEST(NodeDurability, CompactionKeepsExactlyTheFramedSuffix) {
   for (std::uint64_t i = 0; i < kRounds * kPerRound; ++i) {
     JournalRecord rec = make_record(i, "a", 16 + i % kPerRound);
     rec.index = i;
-    cdr::Writer w;
-    encode_journal_record_into(w, rec);
-    Bytes framed;
-    frame_append(framed, w.written());
-    appended += framed.size();
+    const Bytes frame =
+        framed([&rec](cdr::Writer& w) { encode_journal_record_into(w, rec); });
+    appended += frame.size();
     if (i >= keep_from) {
-      expected.insert(expected.end(), framed.begin(), framed.end());
+      expected.insert(expected.end(), frame.begin(), frame.end());
     }
   }
   ASSERT_NE(disk.read(kJournalFile), nullptr);
