@@ -43,13 +43,10 @@ struct Measured {
 /// whole-domain power cut and cold restart.
 Measured measure(int ops, std::uint64_t interval, bool durable = true) {
   sim::DiskFarm farm(3);
-  // Pin the exactly-once retention window well below the sweep's operation
-  // counts: the reply log (and its known-ops shadow) lives inside every
-  // checkpoint, so an unsaturated window would grow the blob with history
-  // and the sweep would measure retention-window fill, not replay.
-  rep::EngineParams ep;
-  ep.reply_log_capacity = 64;
-  FtCluster c(3, /*seed=*/1, ep);
+  // The client waits for each reply, so its watermark acknowledges every
+  // earlier operation: the retained replies, and with them each
+  // checkpoint's blob, stay the same size however long the history.
+  FtCluster c(3, /*seed=*/1);
   dur::DurParams dp;
   dp.checkpoint_interval = interval;
   ft::DurabilityPlane plane(c.domain, farm, dp);
@@ -93,8 +90,8 @@ std::string interval_label(std::uint64_t interval) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  // Every count saturates the 64-op retention window, so checkpoint size is
-  // constant across the sweep and only replay length varies.
+  // Checkpoint size is constant across the sweep (the client acknowledges
+  // every reply), so only replay length varies.
   const std::vector<int> op_counts =
       smoke ? std::vector<int>{128, 512} : std::vector<int>{128, 512, 1024};
   const std::vector<std::uint64_t> intervals = {0, 8, 32};

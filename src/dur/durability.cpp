@@ -80,13 +80,8 @@ void NodeDurability::cut_checkpoint(CheckpointHeader rec,
   // *or* its fallback) could still ask to replay from. A group that
   // journals but has no checkpoint (cold-passive backups, or any group
   // before its first cut) pins the whole tape — it replays from scratch.
-  const std::map<std::string, std::uint64_t> safe =
-      checkpoints_.safe_positions();
-  std::uint64_t keep_from = rec.position;
-  for (const auto& [group, pos] : safe) keep_from = std::min(keep_from, pos);
-  for (const std::string& group : journal_.groups()) {
-    if (!safe.contains(group)) keep_from = 0;
-  }
+  const std::uint64_t keep_from =
+      checkpoints_.compaction_floor(rec.position, journal_.groups());
   if (keep_from > 0) compacted_bytes_.inc(journal_.compact(keep_from));
   journal_.sync();
   write_meta();

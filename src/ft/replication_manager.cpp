@@ -247,6 +247,11 @@ void ReplicationManager::ensure_minimum(ManagedGroup& g) {
 // ---------------------------------------------------------------------------
 
 dur::RecoveryStats ReplicationManager::recover_node(sim::NodeId node) {
+  return rebuild_node(node, /*authoritative=*/false);
+}
+
+dur::RecoveryStats ReplicationManager::rebuild_node(sim::NodeId node,
+                                                    bool authoritative) {
   if (!plane_) {
     throw ObjectGroupError("recover_node: no durability plane attached");
   }
@@ -292,7 +297,7 @@ dur::RecoveryStats ReplicationManager::recover_node(sim::NodeId node) {
   for (const dur::JournalRecord& r : rn.records) {
     engine.replay_journal_record(r);
   }
-  engine.finish_recovery();
+  engine.finish_recovery(authoritative);
   // A node may have crashed before journaling anything for a group it was
   // a member of (no checkpoint cut yet, unsynced tape lost). Rejoin those
   // through the normal state-transfer path — the recovered siblings are
@@ -314,7 +319,7 @@ dur::RecoveryStats ReplicationManager::recover_domain() {
   dur::RecoveryStats total;
   std::size_t nodes = 0;
   for (sim::NodeId n = 0; n < domain_.size(); ++n) {
-    const dur::RecoveryStats s = recover_node(n);
+    const dur::RecoveryStats s = rebuild_node(n, /*authoritative=*/true);
     ++nodes;
     total.checkpoints_loaded += s.checkpoints_loaded;
     total.checkpoint_fallbacks += s.checkpoint_fallbacks;

@@ -111,19 +111,28 @@ class ReplicationManager {
   /// Attach the durability plane recover_node/recover_domain rebuild from.
   void set_durability_plane(DurabilityPlane* plane) { plane_ = plane; }
 
-  /// Rebuild one processor from its durable journal + checkpoints: restart
-  /// the protocol stack with the persisted epoch floor, re-host every
-  /// recovered group already synced, replay the journal suffix through the
-  /// normal execution path, and re-arm durability for the new life. The
-  /// factories registered with this manager supply the replica shells.
+  /// Rebuild one processor from its durable journal + checkpoints while the
+  /// rest of the domain keeps running: restart the protocol stack with the
+  /// persisted epoch and client floors, re-host every recovered group,
+  /// replay the journal suffix through the normal execution path, and
+  /// re-arm durability for the new life. The disk state is only a warm
+  /// start: the live group moved on meanwhile, so each rebuilt replica
+  /// rejoins unsynced through the join marker and serves nothing until a
+  /// donor's snapshot syncs it. The factories registered with this manager
+  /// supply the replica shells.
   dur::RecoveryStats recover_node(sim::NodeId node);
 
   /// Whole-domain disaster recovery: cold-restart every processor from
-  /// disk (the total-order journals make the survivors consistent), then
-  /// announce DOMAIN_RECOVERED through the FaultNotifier.
+  /// disk (the total-order journals make the survivors consistent; each
+  /// rebuilt replica is synced at once, the tapes being the whole lineage),
+  /// then announce DOMAIN_RECOVERED through the FaultNotifier.
   dur::RecoveryStats recover_domain();
 
  private:
+  /// recover_node's rebuild; `authoritative` (recover_domain) keeps every
+  /// rebuilt replica synced instead of resyncing it from a live donor.
+  dur::RecoveryStats rebuild_node(sim::NodeId node, bool authoritative);
+
   struct ManagedGroup {
     std::string name;
     Factory factory;

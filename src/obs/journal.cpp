@@ -31,6 +31,7 @@ const char* to_string(EventKind k) {
     case EventKind::RecoveryLoaded: return "recovery_loaded";
     case EventKind::RecoveryEnd: return "recovery_end";
     case EventKind::DomainRecovered: return "domain_recovered";
+    case EventKind::RequestExpired: return "request_expired";
   }
   return "?";
 }

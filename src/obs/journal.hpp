@@ -46,6 +46,7 @@ enum class EventKind : std::uint8_t {
                         // pre-crash cut)
   RecoveryEnd,          // journal suffix replayed; group live again
   DomainRecovered,      // RM finished whole-domain disaster recovery
+  RequestExpired,       // ordered request refused past its expiration
 };
 
 const char* to_string(EventKind k);

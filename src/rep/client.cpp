@@ -55,8 +55,7 @@ Invocation Client::invoke(const std::string& group, const std::string& op,
   giop::FtRequestContext ft;
   ft.client_id = reply_group_;
   ft.retention_id = static_cast<std::int32_t>(op_id.op_seq);
-  ft.expiration_time =
-      engine_.simulation().now() + 60 * sim::kSecond;
+  ft.expiration_time = engine_.simulation().now() + kRequestRetention;
 
   Envelope env;
   env.kind = Kind::Invocation;
@@ -65,6 +64,10 @@ Invocation Client::invoke(const std::string& group, const std::string& op,
   env.reply_group = reply_group_;
   env.source_group = "";
   env.timestamp = engine_.simulation().now();
+  env.expires = ft.expiration_time;
+  // Completion watermark: the lowest operation still unanswered (this one,
+  // if nothing older is). Every reply below it reached this client.
+  env.ack = outstanding_.empty() ? op_id : outstanding_.begin()->first;
   env.giop = engine_.frame_request(static_cast<std::uint32_t>(op_id.op_seq),
                                    group, op, ft, args);
 

@@ -39,6 +39,17 @@ struct Envelope {
   bool fulfillment = false;   // replay of a secondary-component operation
   std::uint64_t timestamp = 0;  // sanitized time base for the operation
 
+  // Invocation only: reply retention (DESIGN §12, "Reply retention").
+  /// The client's completion watermark: every operation of this client
+  /// (keyed by `reply_group`) ordered below it has been answered, so its
+  /// logged reply may go. A client stub sends its lowest outstanding
+  /// operation; a group invoking nested operations sends {lowest carrier
+  /// among its running executions, 0}.
+  OperationId ack;
+  /// The FT_REQUEST expiration_time: past it (in the group's ordered time)
+  /// the request is refused and its logged reply may go. 0 = never.
+  std::uint64_t expires = 0;
+
   /// GIOP Request (Invocation) or GIOP Reply (Response). Decoded envelopes
   /// hold a slice of the arriving frame (no copy); built envelopes hold the
   /// sealed GIOP frame from the sender's arena.
@@ -62,6 +73,12 @@ struct Envelope {
   std::uint32_t chunk_count = 0;
   cdr::WireBuf blob;             // snapshot chunk payload
 
+  // SyncedMark / JoinRequest: the durable prefix the replica's state
+  // descends from — the total-order position of the last delivery its
+  // journal replay applied, inherited through snapshots; zero when the
+  // state never came off a disk. See Engine::handle_synced_mark.
+  GlobalSeq lineage;
+
   // StateDigest (divergence oracle; `node` above names the digesting
   // replica and `state_version`/`operation` the checked boundary)
   std::uint64_t digest = 0;      // fnv1a over serialized tier-1 state
@@ -77,7 +94,11 @@ struct Envelope {
 };
 
 /// Hot-path codec: encode into an open arena frame / decode an arriving
-/// frame with giop/update/blob as zero-copy slices of it.
+/// frame with giop/update/blob as zero-copy slices of it. Every kind
+/// carries the header fields through `giop` and the trace context; the
+/// fields from `state_version` to `digest` are written only for the
+/// control kinds, never for an Invocation or Response (decoding resets
+/// them), and each kind-specific field only for its kinds.
 void encode_envelope_into(cdr::Writer& w, const Envelope& env);
 Envelope decode_envelope(const cdr::WireBuf& frame);
 /// Scratch-reuse variant: assigns every field of `env` (strings reuse

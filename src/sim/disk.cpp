@@ -23,6 +23,17 @@ bool Disk::write_file(const std::string& name,
   return true;
 }
 
+bool Disk::drop_front(const std::string& name, std::size_t bytes) {
+  const auto it = files_.find(name);
+  if (full_ || it == files_.end() || bytes > it->second.data.size()) {
+    return false;
+  }
+  DiskBytes& data = it->second.data;
+  data.erase(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(bytes));
+  it->second.synced = data.size();  // atomic replace: durable as a unit
+  return true;
+}
+
 void Disk::sync(const std::string& name) {
   const auto it = files_.find(name);
   if (it != files_.end()) it->second.synced = it->second.data.size();

@@ -56,6 +56,12 @@ class Disk {
   /// writes nothing) when the disk is full.
   bool write_file(const std::string& name, std::span<const std::uint8_t> bytes);
 
+  /// Atomically replace `name` with its content after the first `bytes`,
+  /// durable immediately — write_file of that suffix, done in place.
+  /// Returns false (and changes nothing) when the disk is full or the file
+  /// is shorter than `bytes`.
+  bool drop_front(const std::string& name, std::size_t bytes);
+
   /// Extend the durable prefix of one file / of every file to its current
   /// in-memory length (fsync).
   void sync(const std::string& name);

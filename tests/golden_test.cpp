@@ -153,6 +153,50 @@ TEST_F(Golden, Envelope) {
   EXPECT_EQ(hex(w.seal()), golden(kEnvelope));
 }
 
+// Kind-specific layouts: an Invocation carries its client's watermark and
+// expiration but none of the control fields (state version through
+// digest); a SyncedMark carries its lineage.
+TEST_F(Golden, InvocationAndSyncedMarkEnvelopes) {
+  cdr::Arena arena;
+  rep::Envelope inv;
+  inv.kind = rep::Kind::Invocation;
+  inv.op_id.parent = rep::GlobalSeq{0, 4};
+  inv.op_id.op_seq = 7;
+  inv.target_group = "ctr";
+  inv.reply_group = "client.3";
+  inv.timestamp = 1'500'000;
+  inv.ack.parent = rep::GlobalSeq{0, 4};
+  inv.ack.op_seq = 5;
+  inv.expires = 61'500'000;
+  cdr::Writer w(arena);
+  rep::encode_envelope_into(w, inv);
+  constexpr std::string_view kInvocation =
+      "01000000 00000000 00000000 00000000 04000000 00000000 "
+      "07000000 00000000 04000000 63747200 09000000 636c6965 "
+      "6e742e33 00000000 01000000 00000000 60e31600 00000000 "
+      "00000000 00000000 04000000 00000000 05000000 00000000 "
+      "606aaa03 00000000 00000000 00";
+  EXPECT_EQ(hex(w.seal()), golden(kInvocation));
+
+  rep::Envelope mark;
+  mark.kind = rep::Kind::SyncedMark;
+  mark.target_group = "ctr";
+  mark.node = 2;
+  mark.state_version = 9;
+  mark.lineage = rep::GlobalSeq{3, 1200};
+  cdr::Writer m(arena);
+  rep::encode_envelope_into(m, mark);
+  constexpr std::string_view kMark =
+      "06000000 00000000 00000000 00000000 00000000 00000000 "
+      "00000000 00000000 04000000 63747200 01000000 00000000 "
+      "01000000 00000000 00000000 00000000 00000000 00000000 "
+      "09000000 00000000 01000000 00000000 00000000 00000000 "
+      "02000000 00000000 00000000 00000000 00000000 00000000 "
+      "03000000 00000000 b0040000 00000000 00000000 00000000 "
+      "00";
+  EXPECT_EQ(hex(m.seal()), golden(kMark));
+}
+
 TEST_F(Golden, JournalRecordFrame) {
   sim::Disk disk;
   dur::Journal journal(disk);
@@ -226,8 +270,9 @@ TEST_F(Golden, FlightRecorderDump) {
 // The three-tier checkpoint of a small cold-passive Counter, captured off
 // the ring as the snapshot a donor serves a joiner. The donor was promoted
 // by a crash and is still holding execution while it installs its update
-// backlog, so the snapshot carries a reply log (inherited from the first
-// primary through an earlier transfer) *and* an unexecuted invocation log.
+// backlog, so the snapshot carries client logs (client.3's last operation,
+// retired by its state update and not yet acknowledged) *and* an
+// unexecuted invocation log.
 TEST_F(Golden, CounterCheckpointBlob) {
   rep::EngineParams ep;
   ep.update_apply_us_per_kib = 2 * kSecond;  // hold the new primary
@@ -258,6 +303,7 @@ TEST_F(Golden, CounterCheckpointBlob) {
     ASSERT_TRUE(domain.engine(n).is_synced("ctr"));
   }
   ctr.call<std::int64_t>("incr", std::int64_t{1});  // cold backlog
+  domain.ref(3, "ctr").call<std::int64_t>("incr", std::int64_t{4});
 
   fabric.crash(0);
   sim.run_for(kSecond);
@@ -276,35 +322,33 @@ TEST_F(Golden, CounterCheckpointBlob) {
   (void)dec.get_octet_seq();  // tier 1
   const cdr::WireBuf orb = dec.get_octet_seq_buf();
   cdr::Decoder orb_tier(orb);
-  EXPECT_GT(orb_tier.get_ulong(), 0u) << "reply log";
+  (void)orb_tier.get_ulonglong();  // ordered clock
+  EXPECT_EQ(orb_tier.get_ulong(), 2u) << "client logs";
   const cdr::WireBuf infra = dec.get_octet_seq_buf();
   cdr::Decoder infra_tier(infra);
-  (void)infra_tier.get_ulonglong();
+  for (int i = 0; i < 5; ++i) (void)infra_tier.get_ulonglong();  // versions
   EXPECT_GT(infra_tier.get_ulong(), 0u) << "invocation log";
   constexpr std::string_view kBlob =
-      "10000000 08000000 00000000 03000000 00000000 f0000000 "
-      "02000000 00000000 00000000 00000000 05000000 00000000 "
-      "01000000 00000000 24000000 47494f50 01000101 18000000 "
-      "00000000 01000000 00000000 00000000 05000000 00000000 "
-      "00000000 00000000 05000000 00000000 02000000 00000000 "
-      "24000000 47494f50 01000101 18000000 00000000 02000000 "
-      "00000000 00000000 07000000 00000000 04000000 00000000 "
-      "00000000 00000000 05000000 00000000 01000000 00000000 "
-      "00000000 00000000 05000000 00000000 02000000 00000000 "
-      "00000000 00000000 05000000 00000000 03000000 00000000 "
+      "10000000 0c000000 00000000 04000000 00000000 94000000 "
+      "15273700 00000000 02000000 09000000 636c6965 6e742e33 "
+      "00000000 00000000 00000000 00000000 04000000 00000000 "
+      "01000000 00000000 01000000 00000000 00000000 00000000 "
+      "04000000 00000000 01000000 00000000 e168bb03 00000000 "
+      "00000000 09000000 636c6965 6e742e34 00000000 00000000 "
       "00000000 00000000 05000000 00000000 04000000 00000000 "
-      "18010000 03000000 00000000 01000000 e9000000 01000000 "
-      "00000000 00000000 00000000 05000000 00000000 04000000 "
-      "00000000 04000000 63747200 09000000 636c6965 6e742e34 "
-      "00000000 01000000 00000000 21243700 00000000 64000000 "
-      "47494f50 01000100 58000000 01000000 0d000000 20000000 "
-      "01000000 09000000 636c6965 6e742e34 00000000 04000000 "
-      "21abca03 00000000 04000000 01000000 03000000 63747200 "
-      "05000000 696e6372 00000000 00000000 00000000 03000000 "
-      "00000000 00000000 00000000 01000000 00000000 00000000 "
-      "00000000 00000000 00000000 00000000 00000000 00000000 "
-      "00000000 00000000 00000000 00000000 00000000 02000000 "
-      "00000000 0b000000 00000000 01000000 01000000";
+      "00000000 20010000 04000000 00000000 02000000 00000000 "
+      "0b000000 00000000 00000000 00000000 00000000 00000000 "
+      "01000000 d1000000 01000000 00000000 00000000 00000000 "
+      "05000000 00000000 04000000 00000000 04000000 63747200 "
+      "09000000 636c6965 6e742e34 00000000 01000000 00000000 "
+      "15273700 00000000 00000000 00000000 05000000 00000000 "
+      "04000000 00000000 15aeca03 00000000 64000000 47494f50 "
+      "01000100 58000000 01000000 0d000000 20000000 01000000 "
+      "09000000 636c6965 6e742e34 00000000 04000000 15aeca03 "
+      "00000000 04000000 01000000 03000000 63747200 05000000 "
+      "696e6372 00000000 00000000 00000000 03000000 00000000 "
+      "00000000 00000000 02000000 00000000 0b000000 00000000 "
+      "01000000 01000000";
   EXPECT_EQ(hex(blob), golden(kBlob));
 }
 
