@@ -461,20 +461,21 @@ TEST(CheckpointStore, SafePositionsTrackOlderRetained) {
   ASSERT_TRUE(save(store, make_checkpoint("a", 10, 5)));
   ASSERT_TRUE(save(store, make_checkpoint("a", 20, 11)));
   ASSERT_TRUE(save(store, make_checkpoint("b", 4, 9)));
-  const auto safe = store.safe_positions();
-  ASSERT_EQ(safe.size(), 2u);
-  EXPECT_EQ(safe.at("a"), 5u);   // older of the two retained
-  EXPECT_EQ(safe.at("b"), 0u);   // single checkpoint pins the whole tape
+  // b's single checkpoint pins the whole tape.
+  EXPECT_EQ(store.compaction_floor(100, {"a", "b"}), 0u);
+  ASSERT_TRUE(save(store, make_checkpoint("b", 8, 13)));
+  // The older of each group's two retained checkpoints: a at 5, b at 9.
+  EXPECT_EQ(store.compaction_floor(100, {"a", "b"}), 5u);
+  EXPECT_EQ(store.compaction_floor(4, {"a", "b"}), 4u);
+  // A journaled group with no checkpoint replays from scratch.
+  EXPECT_EQ(store.compaction_floor(100, {"a", "b", "quiet"}), 0u);
   // A later life reads the files back: same answer, and an unreadable
   // older checkpoint pins the whole tape too.
+  EXPECT_EQ(CheckpointStore(disk).compaction_floor(100, {"a", "b"}), 5u);
   ASSERT_TRUE(save(store, make_checkpoint("c", 1, 3)));
   ASSERT_TRUE(save(store, make_checkpoint("c", 2, 7)));
   ASSERT_TRUE(disk.corrupt_byte(disk.list("ckpt-c-").front(), 10));
-  const auto reread = CheckpointStore(disk).safe_positions();
-  ASSERT_EQ(reread.size(), 3u);
-  EXPECT_EQ(reread.at("a"), 5u);
-  EXPECT_EQ(reread.at("b"), 0u);
-  EXPECT_EQ(reread.at("c"), 0u);
+  EXPECT_EQ(CheckpointStore(disk).compaction_floor(100, {"a", "b"}), 0u);
 }
 
 TEST(CheckpointStore, GroupNamesWithDashesParse) {
@@ -505,8 +506,11 @@ TEST(CheckpointStore, GroupPrefixDoesNotMatchDashedNeighbour) {
   ASSERT_TRUE(ab.has_value());
   EXPECT_EQ(ab->state_version, 2u);
   EXPECT_EQ(store.groups(), (std::vector<std::string>{"a", "a-b"}));
-  EXPECT_EQ(store.safe_positions(),
-            (std::map<std::string, std::uint64_t>{{"a", 0}, {"a-b", 3}}));
+  // a-b's older checkpoint sits at 3; a's files are a's alone.
+  ASSERT_TRUE(save(store, make_checkpoint("a", 8, 11)));
+  EXPECT_EQ(store.compaction_floor(100, {"a", "a-b"}), 3u);
+  ASSERT_TRUE(save(store, make_checkpoint("a-b", 3, 15)));
+  EXPECT_EQ(store.compaction_floor(100, {"a", "a-b"}), 5u);
 }
 
 // ---------------------------------------------------------------------------
