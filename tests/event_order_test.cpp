@@ -1,6 +1,7 @@
 // Event-order fingerprint: pins the exact order in which the simulator fires
-// events and in which every node delivers ring messages, on two fixed-seed
-// scenarios (a crash, and a partition followed by a remerge).
+// events and in which every node delivers ring messages, on three fixed-seed
+// scenarios (a crash, a partition followed by a remerge, and skewed clocks
+// with a gray node).
 //
 // Every experiment in this repository relies on the simulator being a pure
 // function of its seed. A change to the event core (queue layout, handle
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -143,6 +145,41 @@ TEST(EventOrder, PartitionRemergeFingerprint) {
   EXPECT_TRUE(s.fabric.converged());
   EXPECT_EQ(s.fired, 23266u);
   EXPECT_EQ(s.fingerprint(), 3924999380258073301ull);
+}
+
+// Skewed clocks and a gray node. Protocol timers are armed through each
+// node's local clock, so each time a node's clock speeds up its next
+// token-loss and retransmit arms fall due *earlier* than the ones already
+// pending: the one re-arm order the steady ring never produces. Node 1's
+// clock switches between nominal and double speed every 7 ms mid-run.
+TEST(EventOrder, SkewedClocksFingerprint) {
+  Scenario s(13);
+  s.fabric.node(1).set_clock_rate(1.25);
+  s.fabric.node(3).set_clock_rate(0.8);
+  s.net.set_slowdown(4, {1.5, 1500});
+  s.drive(300 * kMillisecond);
+
+  bool switching = true;
+  bool fast = false;
+  std::function<void()> switch_rate = [&] {
+    fast = switching && !fast;
+    s.fabric.node(1).set_clock_rate(fast ? 2.0 : 1.0);
+    if (switching) s.sim.after(7 * kMillisecond, switch_rate);
+  };
+  s.fabric.node(3).set_clock_rate(1.0);
+  switch_rate();
+  s.drive(700 * kMillisecond);
+  switching = false;
+  s.net.set_slowdown(4, {});
+  s.drive(1200 * kMillisecond);
+
+  EXPECT_GT(s.fired, 10000u);
+  EXPECT_GT(s.sent, 1000u);
+  EXPECT_GT(s.retries, 0u);
+  for (NodeId i = 0; i < Scenario::kNodes; ++i) EXPECT_GT(s.deliveries[i], 0u);
+  EXPECT_TRUE(s.fabric.converged());
+  EXPECT_EQ(s.fired, 17131u);
+  EXPECT_EQ(s.fingerprint(), 15400132686648942934ull);
 }
 
 }  // namespace
