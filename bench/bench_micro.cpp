@@ -239,6 +239,33 @@ void BM_SimScheduleCancelStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScheduleCancelStep);
 
+// The same token-visit-shaped mix with the two timers as DeadlineTimers: a
+// delivery is scheduled, the retransmit and loss deadlines are re-armed,
+// and the next event fires. Each re-arm lands later than the entry already
+// queued, so it pushes no heap entry.
+void BM_SimDeadlineRearm(benchmark::State& state) {
+  sim::Simulation sim(1);
+  const cdr::WireBuf frame(cdr::Bytes(64, 0xAB));
+  std::uint64_t sink = 0;
+  sim::DeadlineTimer retransmit(sim, [&sink] { ++sink; });
+  sim::DeadlineTimer loss(sim, [&sink] { ++sink; });
+  const bench::AllocWindow allocs;
+  for (auto _ : state) {
+    sim.after(10, [&sink, from = sim::NodeId{0}, to = sim::NodeId{1},
+                   payload = frame] { sink += payload.size() + from + to; });
+    retransmit.arm_after(50);
+    loss.arm_after(100);
+    sim.step();
+  }
+  benchmark::DoNotOptimize(sink);
+  const std::uint64_t events = 3 * state.iterations();
+  state.counters["ns_per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["allocs_per_event"] = allocs.per_op(events);
+}
+BENCHMARK(BM_SimDeadlineRearm);
+
 // Throughput of the durable-frame CRC-32 (slicing by 8) on a journal-record
 // sized buffer and on a checkpoint-sized one.
 void BM_Crc32(benchmark::State& state) {

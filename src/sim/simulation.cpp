@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace eternal::sim {
 
@@ -14,11 +15,13 @@ Simulation::Simulation(std::uint64_t seed)
 }
 
 Simulation::~Simulation() {
-  // Pending closures die with the simulation. A closure's destructor may
-  // cancel other handles; those slots are released in place and skipped.
+  // Pending closures die with the simulation, and so do the closures of
+  // deadline timers, which are detached. A closure's destructor may cancel
+  // other handles; those slots are released in place and skipped.
   for (std::uint32_t i = 0; i < slot_count_; ++i) {
     Slot& s = slot(i);
     if (s.ops == nullptr) continue;
+    if (DeadlineTimer* d = std::exchange(s.owner, nullptr)) d->sim_ = nullptr;
     ++s.gen;
     release_slot(i);
   }
@@ -52,19 +55,39 @@ void Simulation::release_slot(std::uint32_t i) noexcept {
 TimerHandle Simulation::enqueue(Time t, std::uint32_t i) {
   if (t < now_) t = now_;
   const std::uint32_t gen = slot(i).gen;
-  heap_.push_back(Entry{t, next_seq_++, i, gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  push(Entry{t, next_seq_++, i, gen});
   timers_scheduled_.inc();
   return TimerHandle(this, i, gen);
+}
+
+void Simulation::push(const Entry& e) {
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Simulation::count_stale() noexcept {
+  ++dead_;
+  if (dead_ > heap_.size() - dead_) compact();
 }
 
 void Simulation::cancel(std::uint32_t i, std::uint32_t gen) noexcept {
   Slot& s = slot(i);
   if (s.gen != gen) return;  // already fired, cancelled or reused
   ++s.gen;
-  ++dead_;
   release_slot(i);
-  if (dead_ > heap_.size() - dead_) compact();
+  count_stale();
+}
+
+void Simulation::drop_deadline(DeadlineTimer& d) noexcept {
+  Slot& s = slot(d.slot_);
+  s.owner = nullptr;
+  ++s.gen;
+  release_slot(d.slot_);
+  if (d.queued_) count_stale();
+}
+
+DeadlineTimer::~DeadlineTimer() {
+  if (sim_) sim_->drop_deadline(*this);
 }
 
 void Simulation::compact() {
@@ -78,12 +101,44 @@ void Simulation::pop_head() {
   heap_.pop_back();
 }
 
-bool Simulation::drop_stale_head() {
-  while (!heap_.empty() && !live(heap_.front())) {
-    pop_head();
-    --dead_;
+void Simulation::move_head_later(Time t, std::uint64_t seq) noexcept {
+  const std::size_t n = heap_.size();
+  Entry e = heap_.front();
+  e.time = t;
+  e.seq = seq;
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && Later{}(heap_[child], heap_[child + 1])) ++child;
+    if (!Later{}(e, heap_[child])) break;
+    heap_[i] = heap_[child];
+    i = child;
   }
-  return !heap_.empty();
+  heap_[i] = e;
+}
+
+bool Simulation::drop_stale_head() {
+  while (!heap_.empty()) {
+    const Entry& e = heap_.front();
+    const Slot& s = slot(e.slot);
+    if (s.gen != e.gen) {
+      pop_head();
+      --dead_;
+      continue;
+    }
+    DeadlineTimer* d = s.owner;
+    if (d == nullptr || (d->armed_ && d->due_seq_ == e.seq)) return true;
+    if (!d->armed_) {
+      d->queued_ = false;
+      pop_head();
+      continue;
+    }
+    // Re-armed since this entry was queued: nothing runs, the clock stays.
+    d->queued_at_ = d->due_;
+    move_head_later(d->due_, d->due_seq_);
+  }
+  return false;
 }
 
 bool Simulation::step() {
@@ -91,11 +146,18 @@ bool Simulation::step() {
   const Entry e = heap_.front();
   pop_head();
   now_ = e.time;
+  Slot& s = slot(e.slot);
+  if (DeadlineTimer* d = s.owner) {
+    d->armed_ = false;
+    d->queued_ = false;
+    events_fired_.inc();
+    s.ops->run(s.storage);
+    return true;
+  }
   // Bump the generation before running: handles to this event read
   // inactive inside its own closure, and cancelling one is a no-op. The
   // slot stays out of the free list until the closure has returned, so
   // events it schedules never land on the storage it runs from.
-  Slot& s = slot(e.slot);
   ++s.gen;
   events_fired_.inc();
   try {

@@ -17,9 +17,22 @@
 // at once. Cancelled entries stay in the heap and are skipped when popped;
 // the heap is compacted once they outnumber the live ones.
 //
+// A DeadlineTimer is a timer that is re-armed far more often than it fires
+// (Totem's token-loss and token-retransmit timers). It holds one slot for
+// its whole life, with a closure fixed at construction, and records its
+// deadline as (due, due_seq) in its own fields. A re-arm still takes a
+// fresh seq and counts as a scheduled timer, but it pushes a heap entry
+// only when the new deadline is earlier than the entry already queued;
+// otherwise the queued entry, once it reaches the head, is moved to the
+// stored deadline without running anything. The heap orders by
+// (time, seq) alone, so events fire in exactly the order that cancelling
+// and re-scheduling would give.
+//
 // Handle lifetime: a TimerHandle points at its Simulation, so any handle
 // whose cancel() or active() can still run must be outlived by that
-// Simulation.
+// Simulation. The same holds for a DeadlineTimer's arm and disarm; a
+// DeadlineTimer that outlives its Simulation is detached by it, and its
+// destructor then does nothing.
 #pragma once
 
 #include <cstddef>
@@ -78,6 +91,38 @@ class TimerHandle {
   std::uint32_t gen_ = 0;
 };
 
+/// A re-armable timer with one permanent slot and a fixed closure. Arming
+/// replaces the deadline; a disarmed or re-armed deadline never fires. The
+/// timer reads inactive once it has fired (already inside its own closure),
+/// and may re-arm itself from there. Not movable: the simulation points at
+/// it. It must not be destroyed from inside its own closure.
+class DeadlineTimer {
+ public:
+  template <typename F>
+  DeadlineTimer(Simulation& sim, F&& fn);
+  ~DeadlineTimer();
+
+  DeadlineTimer(const DeadlineTimer&) = delete;
+  DeadlineTimer& operator=(const DeadlineTimer&) = delete;
+
+  /// Fire at absolute time t (clamped to now), replacing any deadline.
+  inline void arm_at(Time t);
+  inline void arm_after(Time delay);
+  void disarm() noexcept { armed_ = false; }
+  bool active() const noexcept { return armed_; }
+
+ private:
+  friend class Simulation;
+
+  Simulation* sim_ = nullptr;
+  std::uint32_t slot_ = 0;
+  bool armed_ = false;
+  bool queued_ = false;  // an entry for the current generation is in the heap
+  Time queued_at_ = 0;   // that entry's time
+  Time due_ = 0;
+  std::uint64_t due_seq_ = 0;
+};
+
 class Simulation {
  public:
   /// Closures up to this size are stored in the event's slot; larger ones
@@ -120,6 +165,7 @@ class Simulation {
 
  private:
   friend class TimerHandle;
+  friend class DeadlineTimer;
 
   /// Type-erased operations on the closure stored in a slot.
   struct Ops {
@@ -142,6 +188,7 @@ class Simulation {
   struct Slot {
     alignas(std::max_align_t) std::byte storage[kInlineClosure] = {};
     const Ops* ops = nullptr;  // null while the slot holds no closure
+    DeadlineTimer* owner = nullptr;  // set while a DeadlineTimer holds it
     std::uint32_t gen = 1;     // bumped on fire and on cancel
     std::uint32_t next_free = 0;
   };
@@ -168,16 +215,28 @@ class Simulation {
     return chunks_[i >> kChunkShift][i & ((1u << kChunkShift) - 1)];
   }
   std::uint32_t acquire_slot();
+  /// Takes a free slot and moves fn into it.
+  template <typename F>
+  std::uint32_t emplace(F&& fn);
   /// Destroys the slot's closure and returns the slot to the free list.
   void release_slot(std::uint32_t i) noexcept;
   /// Pushes the heap entry for a filled slot and returns its handle.
   TimerHandle enqueue(Time t, std::uint32_t i);
   void cancel(std::uint32_t i, std::uint32_t gen) noexcept;
+  void push(const Entry& e);
+  /// Counts one more stale heap entry; compacts once they are the majority.
+  void count_stale() noexcept;
+  /// Retires a DeadlineTimer's queued entry and frees its slot.
+  void drop_deadline(DeadlineTimer& d) noexcept;
   bool live(const Entry& e) const noexcept { return slot(e.slot).gen == e.gen; }
   /// Drops the cancelled entries and re-heapifies the rest.
   void compact();
   void pop_head();
-  /// Pops cancelled entries off the top; false once the heap is empty.
+  /// Re-keys the head entry to a later (time, seq) and sifts it down.
+  void move_head_later(Time t, std::uint64_t seq) noexcept;
+  /// Pops cancelled entries and disarmed deadlines off the top and moves
+  /// re-armed deadlines to their stored (time, seq), until the head is an
+  /// event that will fire; false once the heap is empty.
   bool drop_stale_head();
 
   Time now_ = 0;
@@ -196,7 +255,7 @@ class Simulation {
 };
 
 template <typename F>
-TimerHandle Simulation::at(Time t, F&& fn) {
+std::uint32_t Simulation::emplace(F&& fn) {
   using Fn = std::decay_t<F>;
   const std::uint32_t i = acquire_slot();
   Slot& s = slot(i);
@@ -212,8 +271,41 @@ TimerHandle Simulation::at(Time t, F&& fn) {
     release_slot(i);
     throw;
   }
-  return enqueue(t, i);
+  return i;
 }
+
+template <typename F>
+TimerHandle Simulation::at(Time t, F&& fn) {
+  return enqueue(t, emplace(std::forward<F>(fn)));
+}
+
+template <typename F>
+DeadlineTimer::DeadlineTimer(Simulation& sim, F&& fn)
+    : sim_(&sim), slot_(sim.emplace(std::forward<F>(fn))) {
+  sim.slot(slot_).owner = this;
+}
+
+void DeadlineTimer::arm_at(Time t) {
+  // lint: hotpath — every frame on the ring re-arms the token-loss timer
+  Simulation& sim = *sim_;
+  if (t < sim.now_) t = sim.now_;
+  due_ = t;
+  due_seq_ = sim.next_seq_++;
+  armed_ = true;
+  sim.timers_scheduled_.inc();
+  // The queued entry resolves to the new deadline when it reaches the head.
+  if (queued_ && queued_at_ <= t) return;
+  Simulation::Slot& s = sim.slot(slot_);
+  if (queued_) {
+    ++s.gen;  // the later entry goes stale
+    sim.count_stale();
+  }
+  queued_ = true;
+  queued_at_ = t;
+  sim.push(Simulation::Entry{t, due_seq_, slot_, s.gen});
+}
+
+void DeadlineTimer::arm_after(Time delay) { arm_at(sim_->now_ + delay); }
 
 void TimerHandle::cancel() noexcept {
   if (sim_) sim_->cancel(slot_, gen_);

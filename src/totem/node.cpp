@@ -31,7 +31,13 @@ NodeCounters::NodeCounters(NodeId id)
       batch_frames(obs::fresh_counter("totem", "batch_frames", id)) {}
 
 Node::Node(sim::Simulation& sim, sim::Network& net, NodeId id, Params params)
-    : sim_(sim), net_(net), id_(id), params_(params), counters_(id) {}
+    : sim_(sim),
+      net_(net),
+      id_(id),
+      params_(params),
+      token_loss_timer_(sim, [this] { on_token_loss(); }),
+      token_retransmit_timer_(sim, [this] { resend_token(); }),
+      counters_(id) {}
 
 void Node::start() {
   if (state_ != State::Down) return;
@@ -103,7 +109,7 @@ void Node::on_receive(NodeId /*from*/, const sim::Frame& wire) {
   switch (rx_pkt_.kind) {
     case MsgKind::Data: handle_data(rx_pkt_.data); break;
     case MsgKind::Batch: handle_batch(rx_pkt_.batch); break;
-    case MsgKind::Token: handle_token(rx_pkt_.token); break;
+    case MsgKind::Token: handle_token(std::move(rx_pkt_.token)); break;
     case MsgKind::Join: handle_join(rx_pkt_.join); break;
     case MsgKind::Commit: handle_commit(rx_pkt_.commit); break;
     case MsgKind::RingAnnounce: handle_announce(rx_pkt_.announce); break;
@@ -140,12 +146,9 @@ void Node::handle_data(const DataMsg& d) {
   if (!on_current) return;
   // Traffic on my ring is evidence the token survived its last hop.
   if (last_sent_token_ && d.seq > last_sent_token_->seq) {
-    token_retransmit_timer_.cancel();
+    token_retransmit_timer_.disarm();
   }
-  if (token_loss_timer_.active()) {
-    token_loss_timer_.cancel();
-    arm_token_loss();
-  }
+  if (token_loss_timer_.active()) arm_token_loss();
   try_deliver();
 }
 
@@ -163,12 +166,9 @@ void Node::handle_batch(const BatchMsg& b) {
   }
   if (!on_current) return;
   if (last_sent_token_ && high > last_sent_token_->seq) {
-    token_retransmit_timer_.cancel();
+    token_retransmit_timer_.disarm();
   }
-  if (token_loss_timer_.active()) {
-    token_loss_timer_.cancel();
-    arm_token_loss();
-  }
+  if (token_loss_timer_.active()) arm_token_loss();
   try_deliver();
 }
 
@@ -240,33 +240,34 @@ sim::Time Node::token_loss_timeout() const {
 }
 
 void Node::arm_token_loss() {
-  token_loss_timer_ = sim_.after(local(token_loss_timeout()), [this] {
-    if (state_ != State::Operational && state_ != State::Recovery) return;
-    counters_.token_losses.inc();
-    ETERNAL_DEBUG("totem", "node ", id_, " token loss on ring ",
-                  cur_.id.str());
-    obs::Journal::global().emit(sim_.now(), id_, obs::EventKind::TokenLoss,
-                                cur_.id.str(),
-                                "members=" + obs::format_members(cur_.members));
-    enter_gather();
-  });
+  token_loss_timer_.arm_after(local(token_loss_timeout()));
+}
+
+void Node::on_token_loss() {
+  if (state_ != State::Operational && state_ != State::Recovery) return;
+  counters_.token_losses.inc();
+  ETERNAL_DEBUG("totem", "node ", id_, " token loss on ring ", cur_.id.str());
+  obs::Journal::global().emit(sim_.now(), id_, obs::EventKind::TokenLoss,
+                              cur_.id.str(),
+                              "members=" + obs::format_members(cur_.members));
+  enter_gather();
 }
 
 void Node::cancel_token_timers() {
-  token_loss_timer_.cancel();
-  token_retransmit_timer_.cancel();
+  token_loss_timer_.disarm();
+  token_retransmit_timer_.disarm();
   token_hold_timer_.cancel();
 }
 
-void Node::handle_token(TokenMsg t) {
+void Node::handle_token(TokenMsg&& t) {
   // lint: hotpath — one visit per token rotation; sends, arus, and GC
   if (state_ != State::Operational && state_ != State::Recovery) return;
   if (!(t.ring == cur_.id) || t.dest != id_) return;
   if (t.token_id <= last_token_id_) return;  // duplicate/stale token
   last_token_id_ = t.token_id;
   counters_.token_visits.inc();
-  token_loss_timer_.cancel();
-  token_retransmit_timer_.cancel();
+  token_loss_timer_.disarm();
+  token_retransmit_timer_.disarm();
 
   // Rotation boundary: the lowest-id member publishes the minimum aru of the
   // rotation that just completed as the new safe point.
@@ -406,38 +407,37 @@ void Node::handle_token(TokenMsg t) {
   forward_token(std::move(t));
 }
 
-void Node::forward_token(TokenMsg t) {
+void Node::forward_token(TokenMsg&& t) {
   // lint: hotpath — runs once per token visit
   t.dest = next_member(cur_.members, id_);
   t.token_id += 1;
-  auto hold = [this, t = std::move(t)] {
+  auto hold = [this, t = std::move(t)]() mutable {
     if (state_ != State::Operational && state_ != State::Recovery) return;
     if (!(t.ring == cur_.id)) return;
-    Packet pkt;
-    pkt.kind = MsgKind::Token;
-    pkt.token = t;
-    unicast(t.dest, pkt);
-    last_sent_token_ = t;
+    send_token(t);
+    last_sent_token_ = std::move(t);
     // Retransmit the token if we see no evidence the next member got it.
-    // The resend state lives in last_sent_token_, so the timer closure
-    // captures only `this`.
-    token_retransmit_timer_ =
-        sim_.after(local(params_.token_retransmit), [this] { resend_token(); });
+    // The resend state lives in last_sent_token_.
+    token_retransmit_timer_.arm_after(local(params_.token_retransmit));
     arm_token_loss();
   };
   token_hold_timer_ = sim_.after(local(params_.token_hold), std::move(hold));
 }
 
 void Node::resend_token() {
-  // lint: hotpath — armed every visit, fires only when the ring stalls
+  // lint: hotpath — re-armed every visit but fires only when the ring
+  // stalls; resends the kept token without copying it
   if (state_ != State::Operational && state_ != State::Recovery) return;
   if (!last_sent_token_ || !(last_sent_token_->ring == cur_.id)) return;
-  Packet pkt;
-  pkt.kind = MsgKind::Token;
-  pkt.token = *last_sent_token_;
-  unicast(pkt.token.dest, pkt);
-  token_retransmit_timer_ =
-      sim_.after(local(params_.token_retransmit), [this] { resend_token(); });
+  send_token(*last_sent_token_);
+  token_retransmit_timer_.arm_after(local(params_.token_retransmit));
+}
+
+void Node::send_token(const TokenMsg& t) {
+  // lint: hotpath — once per token visit; encoded straight from the token
+  cdr::Writer w(arena_, 256 + t.retransmit.size() * 8);
+  encode_token_packet_into(w, t);
+  unicast_frame(t.dest, w.seal());
 }
 
 // ---------------------------------------------------------------------------
@@ -810,8 +810,6 @@ std::size_t encode_reserve(const Packet& pkt) {
     for (const DataMsg& d : pkt.batch.msgs) {
       n += d.payload.size() + d.group.size() + 64;
     }
-  } else if (pkt.kind == MsgKind::Token) {
-    n += pkt.token.retransmit.size() * 8;
   }
   return n;
 }
@@ -825,10 +823,13 @@ void Node::multicast(const Packet& pkt) {
 }
 
 void Node::unicast(NodeId to, const Packet& pkt) {
-  // lint: hotpath — token forwarding comes through here once per visit
   cdr::Writer w(arena_, encode_reserve(pkt));
   encode_packet_into(w, pkt);
-  cdr::WireBuf frame = w.seal();
+  unicast_frame(to, w.seal());
+}
+
+void Node::unicast_frame(NodeId to, cdr::WireBuf frame) {
+  // lint: hotpath — token forwarding comes through here once per visit
   if (to == id_) {
     // The network never loops multicasts back; unicast-to-self is used by
     // single-member rings to keep the token machinery uniform.

@@ -120,8 +120,12 @@ class Node {
 
   Node(sim::Simulation& sim, sim::Network& net, NodeId id, Params params);
 
+  /// Neither copyable nor movable: the token timers' closures capture
+  /// `this`.
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
+  Node(Node&&) = delete;
+  Node& operator=(Node&&) = delete;
 
   NodeId id() const noexcept { return id_; }
   const Params& params() const noexcept { return params_; }
@@ -213,7 +217,8 @@ class Node {
   // --- message handlers ---
   void handle_data(const DataMsg& d);
   void handle_batch(const BatchMsg& b);
-  void handle_token(TokenMsg t);
+  /// A visit moves the token into the hold that forwards it.
+  void handle_token(TokenMsg&& t);
   void handle_join(const JoinMsg& j);
   void handle_commit(CommitMsg c);
   void handle_announce(const RingAnnounceMsg& a);
@@ -234,8 +239,10 @@ class Node {
   void complete_recovery();
 
   // --- token machinery ---
-  void forward_token(TokenMsg t);
+  void forward_token(TokenMsg&& t);
   void resend_token();
+  void send_token(const TokenMsg& t);
+  void on_token_loss();
   void arm_token_loss();
   void cancel_token_timers();
   sim::Time token_loss_timeout() const;
@@ -264,6 +271,7 @@ class Node {
   NodeId next_member(const std::vector<NodeId>& members, NodeId after) const;
   void multicast(const Packet& pkt);
   void unicast(NodeId to, const Packet& pkt);
+  void unicast_frame(NodeId to, cdr::WireBuf frame);
 
   sim::Simulation& sim_;
   sim::Network& net_;
@@ -289,8 +297,10 @@ class Node {
   // Token state.
   std::uint64_t last_token_id_ = 0;
   std::optional<TokenMsg> last_sent_token_;
-  sim::TimerHandle token_loss_timer_;
-  sim::TimerHandle token_retransmit_timer_;
+  /// Re-armed on every frame of the ring and every token visit, and
+  /// seldom fired: deadline timers, so a re-arm pushes no heap entry.
+  sim::DeadlineTimer token_loss_timer_;
+  sim::DeadlineTimer token_retransmit_timer_;
   sim::TimerHandle token_hold_timer_;
 
   // Gather state.

@@ -132,7 +132,32 @@ void decode_batch_from(cdr::Decoder& dec, BatchMsg& b) {
   }
 }
 
+void encode_token_into(cdr::Writer& w, const TokenMsg& t) {
+  put_ring(w, t.ring);
+  w.put_ulonglong(t.token_id);
+  w.put_ulonglong(t.seq);
+  w.put_ulonglong(t.accum_min);
+  w.put_ulonglong(t.safe_seq);
+  put_seqs(w, t.retransmit);
+  w.put_ulong(t.dest);
+}
+
+void decode_token_from(cdr::Decoder& dec, TokenMsg& t) {
+  t.ring = get_ring(dec);
+  t.token_id = dec.get_ulonglong();
+  t.seq = dec.get_ulonglong();
+  t.accum_min = dec.get_ulonglong();
+  t.safe_seq = dec.get_ulonglong();
+  get_seqs(dec, t.retransmit);
+  t.dest = dec.get_ulong();
+}
+
 }  // namespace
+
+void encode_token_packet_into(cdr::Writer& w, const TokenMsg& t) {
+  w.put_octet(static_cast<std::uint8_t>(MsgKind::Token));
+  encode_token_into(w, t);
+}
 
 void encode_data_into(cdr::Writer& w, const DataMsg& d) {
   put_ring(w, d.ring);
@@ -165,17 +190,9 @@ void encode_packet_into(cdr::Writer& w, const Packet& pkt) {
     case MsgKind::Batch:
       encode_batch_into(w, pkt.batch);
       break;
-    case MsgKind::Token: {
-      const TokenMsg& t = pkt.token;
-      put_ring(w, t.ring);
-      w.put_ulonglong(t.token_id);
-      w.put_ulonglong(t.seq);
-      w.put_ulonglong(t.accum_min);
-      w.put_ulonglong(t.safe_seq);
-      put_seqs(w, t.retransmit);
-      w.put_ulong(t.dest);
+    case MsgKind::Token:
+      encode_token_into(w, pkt.token);
       break;
-    }
     case MsgKind::Join: {
       const JoinMsg& j = pkt.join;
       w.put_ulong(j.sender);
@@ -221,17 +238,9 @@ void decode_packet_into(Packet& pkt, const cdr::WireBuf& frame) {
     case MsgKind::Batch:
       decode_batch_from(dec, pkt.batch);
       break;
-    case MsgKind::Token: {
-      TokenMsg& t = pkt.token;
-      t.ring = get_ring(dec);
-      t.token_id = dec.get_ulonglong();
-      t.seq = dec.get_ulonglong();
-      t.accum_min = dec.get_ulonglong();
-      t.safe_seq = dec.get_ulonglong();
-      get_seqs(dec, t.retransmit);
-      t.dest = dec.get_ulong();
+    case MsgKind::Token:
+      decode_token_from(dec, pkt.token);
       break;
-    }
     case MsgKind::Join: {
       JoinMsg& j = pkt.join;
       j.sender = dec.get_ulong();

@@ -170,6 +170,10 @@ struct Packet {
 /// the Writer into the WireBuf it hands to the network.
 void encode_packet_into(cdr::Writer& w, const Packet& pkt);
 
+/// The frame encode_packet_into writes for a Token packet, encoded straight
+/// from the token: the token path sends without building a Packet.
+void encode_token_packet_into(cdr::Writer& w, const TokenMsg& t);
+
 /// Decodes a frame into `out`, reusing its vectors' and strings' capacity
 /// (nodes keep one scratch Packet, so steady-state decode allocates
 /// nothing). Payloads come back as slices of `frame`.

@@ -1,17 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/simulation.hpp"
+#include "util/prng.hpp"
 
 namespace eternal::sim {
 namespace {
+
+std::uint64_t registry_count(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
 
 TEST(Simulation, EventsRunInTimeOrder) {
   Simulation sim;
@@ -287,6 +294,203 @@ TEST(Simulation, NestedSimulationHandsLoggerClockBack) {
   EXPECT_EQ(log.timestamp(), std::optional<std::uint64_t>(42));
   second.reset();
   EXPECT_EQ(log.timestamp(), std::optional<std::uint64_t>(500));
+}
+
+// --- DeadlineTimer --------------------------------------------------------
+
+TEST(DeadlineTimer, ReArmLaterFiresOnceAtTheNewDeadline) {
+  Simulation sim;
+  std::vector<Time> fired;
+  DeadlineTimer t(sim, [&] { fired.push_back(sim.now()); });
+  t.arm_at(10);
+  t.arm_at(30);
+  EXPECT_TRUE(t.active());
+  sim.run_until(20);  // the entry queued for 10 moves on; nothing runs
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sim.events_executed(), 0u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{30}));
+  EXPECT_FALSE(t.active());
+  EXPECT_EQ(registry_count("sim.timers_scheduled"), 2u);
+  EXPECT_EQ(registry_count("sim.events_fired"), 1u);
+}
+
+TEST(DeadlineTimer, ReArmEarlierFiresOnceAtTheNewDeadline) {
+  Simulation sim;
+  std::vector<Time> fired;
+  DeadlineTimer t(sim, [&] { fired.push_back(sim.now()); });
+  t.arm_at(30);
+  t.arm_at(10);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{10}));
+  EXPECT_EQ(sim.now(), 10u);  // the stale entry for 30 did not move time
+}
+
+TEST(DeadlineTimer, DisarmThenReArm) {
+  Simulation sim;
+  std::vector<Time> fired;
+  DeadlineTimer t(sim, [&] { fired.push_back(sim.now()); });
+  t.arm_at(10);
+  t.disarm();
+  EXPECT_FALSE(t.active());
+  sim.run();
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sim.now(), 0u);  // dropping a disarmed entry does not move time
+
+  t.arm_at(20);
+  t.disarm();
+  t.arm_at(25);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{25}));
+}
+
+TEST(DeadlineTimer, InactiveInsideItsOwnClosureAndMayReArmThere) {
+  Simulation sim;
+  std::vector<Time> fired;
+  std::vector<bool> active_inside;
+  std::optional<DeadlineTimer> t;
+  t.emplace(sim, [&] {
+    active_inside.push_back(t->active());
+    fired.push_back(sim.now());
+    if (fired.size() < 3) t->arm_after(10);
+  });
+  t->arm_at(10);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30}));
+  EXPECT_EQ(active_inside, (std::vector<bool>{false, false, false}));
+  EXPECT_FALSE(t->active());
+}
+
+TEST(DeadlineTimer, EqualDeadlinesAreFifoWithPlainEvents) {
+  Simulation sim;
+  std::vector<int> order;
+  DeadlineTimer t1(sim, [&] { order.push_back(1); });
+  DeadlineTimer t2(sim, [&] { order.push_back(2); });
+  t2.arm_at(5);  // queued early; re-armed to 10 after event 10 below
+  sim.at(10, [&] { order.push_back(10); });
+  t1.arm_at(10);
+  sim.at(10, [&] { order.push_back(11); });
+  t2.arm_at(10);
+  sim.at(10, [&] { order.push_back(12); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{10, 1, 11, 2, 12}));
+}
+
+TEST(DeadlineTimer, DestroyedTimerNeverFiresAndFreesItsClosure) {
+  Simulation sim;
+  auto token = std::make_shared<int>(0);
+  bool fired = false;
+  std::array<std::uint8_t, Simulation::kInlineClosure + 8> big{};
+  {
+    DeadlineTimer small(sim, [&fired, token] { fired = true; });
+    DeadlineTimer large(sim, [&fired, token, big] { fired = big[0] == 0; });
+    small.arm_at(10);
+    large.arm_at(10);
+    large.arm_at(5);  // leaves a stale entry behind as well
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  // The freed slots are reused by plain events without confusion.
+  int plain = 0;
+  sim.at(10, [&] { ++plain; });
+  sim.at(10, [&] { ++plain; });
+  sim.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(plain, 2);
+}
+
+TEST(DeadlineTimer, OutlivedTimerIsDetachedWithItsSimulation) {
+  auto token = std::make_shared<int>(0);
+  auto sim = std::make_unique<Simulation>();
+  DeadlineTimer t(*sim, [token] {});
+  t.arm_at(10);
+  EXPECT_EQ(token.use_count(), 2);
+  sim.reset();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+/// The idiom a DeadlineTimer replaces: cancel the pending event and
+/// schedule a new one on every arm.
+class CancelAndReschedule {
+ public:
+  template <typename F>
+  CancelAndReschedule(Simulation& sim, F&& fn)
+      : sim_(sim), fn_(std::forward<F>(fn)) {}
+  void arm_at(Time t) {
+    handle_.cancel();
+    handle_ = sim_.at(t, [this] { fn_(); });
+  }
+  void arm_after(Time delay) { arm_at(sim_.now() + delay); }
+  void disarm() { handle_.cancel(); }
+  bool active() const { return handle_.active(); }
+
+ private:
+  Simulation& sim_;
+  std::function<void()> fn_;
+  TimerHandle handle_;
+};
+
+struct Trace {
+  std::vector<std::pair<Time, int>> fired;
+  std::uint64_t timers_scheduled = 0;
+  std::uint64_t events_fired = 0;
+};
+
+/// Drives a random arm / re-arm / disarm schedule over a few timers,
+/// interleaved with plain events, and records every fired (time, index).
+template <typename Timer>
+Trace random_schedule(std::uint64_t seed) {
+  constexpr int kTimers = 4;
+  Trace out;
+  {
+    Simulation sim(seed);
+    util::Xoshiro256 rng(seed);
+    std::vector<std::unique_ptr<Timer>> timers;
+    for (int i = 0; i < kTimers; ++i) {
+      timers.push_back(std::make_unique<Timer>(sim, [&, i] {
+        out.fired.emplace_back(sim.now(), i);
+        EXPECT_FALSE(timers[static_cast<std::size_t>(i)]->active());
+        if (rng.below(3) == 0) {
+          timers[static_cast<std::size_t>(i)]->arm_after(rng.below(50));
+        }
+      }));
+    }
+    int steps = 0;
+    std::function<void()> drive = [&] {
+      out.fired.emplace_back(sim.now(), 100 + steps);
+      Timer& t = *timers[rng.below(kTimers)];
+      switch (rng.below(5)) {
+        case 0:
+        case 1: t.arm_after(rng.below(100)); break;
+        case 2: t.arm_at(sim.now() + rng.below(30)); break;
+        case 3: t.disarm(); break;
+        default:
+          if (!t.active()) t.arm_after(rng.below(60));
+          break;
+      }
+      if (++steps < 2000) sim.after(rng.below(20), drive);
+    };
+    sim.after(0, drive);
+    // Bounded runs first, so deadlines are resolved at run_until's bound.
+    for (Time bound = 37; bound < 30000; bound += 37) sim.run_until(bound);
+    sim.run();
+    out.timers_scheduled = registry_count("sim.timers_scheduled");
+    out.events_fired = registry_count("sim.events_fired");
+  }
+  return out;
+}
+
+TEST(DeadlineTimer, MatchesCancelAndRescheduleOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Trace deadline = random_schedule<DeadlineTimer>(seed);
+    const Trace reference = random_schedule<CancelAndReschedule>(seed);
+    ASSERT_GT(deadline.fired.size(), 2000u) << "seed " << seed;
+    EXPECT_EQ(deadline.fired, reference.fired) << "seed " << seed;
+    EXPECT_EQ(deadline.timers_scheduled, reference.timers_scheduled)
+        << "seed " << seed;
+    EXPECT_EQ(deadline.events_fired, reference.events_fired)
+        << "seed " << seed;
+  }
 }
 
 /// Builds a Frame from literal bytes (Frame is an immutable WireBuf now).
